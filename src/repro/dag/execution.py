@@ -19,7 +19,9 @@ jobs unchanged.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.dag.analytics import (
@@ -39,6 +41,8 @@ from repro.telemetry.hub import NULL_HUB, TelemetryHub
 #: Sentinel slot key for the job-level setup task.
 _SETUP_SLOT = -1
 
+_position = attrgetter("position")
+
 
 class StageRun:
     """Runtime state of one stage: phase pointer, pending tasks, bookkeeping.
@@ -52,6 +56,7 @@ class StageRun:
         stage: DagStage,
         map_durations: Sequence[float],
         reduce_durations: Sequence[float],
+        position: int,
     ) -> None:
         self.stage = stage
         # (durations, parallel) per phase; empty phases are skipped on entry.
@@ -64,6 +69,9 @@ class StageRun:
         self._parallel = True
         self.active = 0
         self.ready_seq = -1
+        #: Position in the job's topological stage order; the frontier is
+        #: kept sorted by it so candidates come in full-scan order.
+        self.position = position
         self.unfinished_parents = len(stage.parents)
         self.done = False
         self.rank = 0.0
@@ -108,6 +116,15 @@ class StageRun:
         self._undispatched -= duration
         self.active += 1
         return duration
+
+    def requeue(self, duration: float) -> None:
+        """Return an in-flight task (lost or given up on) to the pending queue.
+
+        The stage still has work, so it is not done and stays in the frontier.
+        """
+        self.active -= 1
+        self.pending.append(duration)
+        self._undispatched += duration
 
     def task_finished(self) -> bool:
         """One task completed; returns ``True`` when the whole stage is done."""
@@ -242,7 +259,7 @@ class DagExecution:
                 stage_reduce_drop_ratios,
                 reduce_drop_ratio,
             )
-            self._runs[stage.index] = StageRun(stage, maps, reduces)
+            self._runs[stage.index] = StageRun(stage, maps, reduces, len(self._runs))
             kept_durations[stage.index] = stage_duration(
                 stage, cluster.slots, map_durations=maps, reduce_durations=reduces
             )
@@ -254,6 +271,11 @@ class DagExecution:
         ).items():
             self._runs[index].rank = rank
 
+        #: The ready, not-done stages in topological order: the only stages a
+        #: free slot can serve.  A stage enters when activated and leaves when
+        #: its last phase finishes, so scanning it yields the same candidates
+        #: in the same order as scanning every stage.
+        self._frontier: List[StageRun] = []
         self._active: Dict[int, _ActiveTask] = {}
         self._free_slots: List[int] = []
         self._ready_counter = 0
@@ -388,8 +410,8 @@ class DagExecution:
             for active in self._active.values():
                 if active.span_id and active.stage_run is not None:
                     self._emit_task_span(active, outcome="evicted")
-            for run in self._runs.values():
-                if run.span_id and run.ready_seq >= 0 and not run.done:
+            for run in self._frontier:
+                if run.span_id:
                     self._emit_stage_span(run, outcome="evicted")
             if self._setup_span is not None:
                 self._emit_setup_span(outcome="evicted")
@@ -496,7 +518,9 @@ class DagExecution:
                     stage=current.index,
                     pending_tasks=current.pending_tasks,
                 )
-            if current.done:
+            if not current.done:
+                insort(self._frontier, current, key=_position)
+            else:
                 # Emptied by dropping: record a zero-length stage span so the
                 # observed DAG stays structurally complete.
                 if tracing:
@@ -510,8 +534,9 @@ class DagExecution:
 
     def _fill_slots(self) -> None:
         hook = self._decision_hook
+        frontier = self._frontier
         while self._free_slots:
-            eligible = [run for run in self._runs.values() if run.dispatchable]
+            eligible = [run for run in frontier if run.dispatchable]
             if not eligible:
                 break
             if hook is None:
@@ -596,6 +621,7 @@ class DagExecution:
         self._free_slots.append(slot)
         run = active.stage_run
         if run is not None and run.task_finished():
+            self._frontier.remove(run)
             if run.span_id:
                 self._emit_stage_span(run)
             self._remaining_stages -= 1
@@ -651,9 +677,7 @@ class DagExecution:
             self._on_give_up(self)
             return
         # No controller hook: requeue the task and let the frontier retry it.
-        run.active -= 1
-        run.pending.append(active.base)
-        run._undispatched += active.base
+        run.requeue(active.base)
         self._free_slots.append(slot)
         self._fill_slots()
 
@@ -671,11 +695,6 @@ class DagExecution:
 
         return _callback
 
-    def _requeue_lost_task(self, run: StageRun, base: float) -> None:
-        run.active -= 1
-        run.pending.append(base)
-        run._undispatched += base
-
     def on_worker_crash(self, worker: int) -> None:
         """Requeue every task the crashed worker was running or retrying."""
         if not self.running:
@@ -689,13 +708,13 @@ class DagExecution:
                 if active.span_id:
                     self._emit_task_span(active, outcome="crashed")
                 if active.stage_run is not None:
-                    self._requeue_lost_task(active.stage_run, active.base)
+                    active.stage_run.requeue(active.base)
                 continue
             entry = self._retries.pop(slot, None)
             if entry is not None:
                 event, base, _attempt, run = entry
                 event.cancel()
-                self._requeue_lost_task(run, base)
+                run.requeue(base)
         self._free_slots = [s for s in self._free_slots if s not in dead]
         self._fill_slots()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from heapq import heapreplace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -127,11 +128,13 @@ def wave_time(durations: Sequence[float], slots: int) -> float:
     """Makespan of ``durations`` scheduled greedily (LPT) on ``slots`` slots."""
     if not durations:
         return 0.0
-    finish = [0.0] * min(slots, len(durations))
+    # (load, slot) heap: ties go to the lowest slot, so which durations each
+    # slot sums, and in which order, is fixed and the result is reproducible.
+    finish = [(0.0, slot) for slot in range(min(slots, len(durations)))]
     for duration in sorted(durations, reverse=True):
-        idx = finish.index(min(finish))
-        finish[idx] += duration
-    return max(finish)
+        load, slot = finish[0]
+        heapreplace(finish, (load + duration, slot))
+    return max(finish)[0]
 
 
 #: Backwards-compatible private alias (the DAG analytics use the public name).

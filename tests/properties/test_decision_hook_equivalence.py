@@ -8,6 +8,11 @@ streamed telemetry must stay byte-identical to the hookless direct path.
 These tests are the proof the learned-policy layer leans on — if the hook
 path drifted, training rewards would silently diverge from the simulations
 the rest of the repo reports.
+
+The hook also observes every stage decision's candidate list, which is how
+the last section checks that :class:`DagExecution` scanning only its ready
+frontier offers exactly the candidates, in exactly the order, of a scan of
+every stage — so scheduler tie-breaks and hook indices cannot drift.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policies import SchedulingPolicy
+from repro.dag.execution import DagExecution
 from repro.dag.schedulers import STAGE_SCHEDULERS
 from repro.dag.simulation import DagSimulation, replicate_dag
 from repro.env import AgentDecisionHook, BuiltinAgent, SchedulerAgent
+from repro.experiments.figures import limited_sprint_config
 from repro.fleet.dispatcher import ROUTERS
 from repro.fleet.simulation import FleetSimulation, replicate_fleet
+from repro.simulation.des import Simulator
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.sinks import JsonLinesSink
 from repro.workloads import scenarios as scenario_module
@@ -31,19 +39,20 @@ def _policy() -> SchedulingPolicy:
     return SchedulingPolicy.differential_approximation({2: 0.0, 0: 0.2})
 
 
-def _dag_run(scheduler, hook=None, telemetry_path=None):
+def _dag_run(scheduler, hook=None, telemetry_path=None, policy=None, **options):
     scenario = scenario_module.dag_layered_scenario(num_jobs=6)
     hub = None
     if telemetry_path is not None:
         hub = TelemetryHub(sample_interval=5.0, tracing=True)
         hub.add_sink(JsonLinesSink(str(telemetry_path)))
     simulation = DagSimulation(
-        policy=_policy(),
+        policy=policy or _policy(),
         jobs=scenario.generate_trace(seed=SEED),
         scheduler=scheduler,
         cluster=scenario.cluster,
         seed=SEED,
         decision_hook=hook,
+        **options,
         **({} if hub is None else {"telemetry": hub}),
     )
     result = simulation.run()
@@ -170,3 +179,91 @@ def test_out_of_range_stage_choice_is_rejected():
 def test_out_of_range_route_choice_is_rejected():
     with pytest.raises(ValueError, match="invalid cluster"):
         _fleet_run("round_robin", hook=lambda point: -1)
+
+
+# ------------------------------------------ frontier scan == full stage scan
+class _FullScanCheck:
+    """Delegating hook that checks each stage decision's candidate list.
+
+    The candidates must be exactly the stages a scan of the whole job finds
+    dispatchable, in the job's stage order.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decisions = 0
+
+    def __call__(self, point):
+        execution = point.context
+        full_scan = [
+            execution.stage_run(s.index)
+            for s in point.job.dag
+            if execution.stage_run(s.index).dispatchable
+        ]
+        assert list(point.candidates) == full_scan
+        self.decisions += 1
+        return self.inner(point)
+
+
+#: name -> (DagSimulation options, check that the run reached that path)
+FRONTIER_CASES = {
+    "approximation": ({}, lambda result: True),
+    "faults": (
+        # Crashes requeue lost tasks; with one retry, some tasks exhaust it
+        # and the controller restarts their job.
+        {"faults": "crash:mttf=300,repair=40;taskfail:p=0.1,retries=1,backoff=0.5"},
+        lambda result: result.fault_counts["crashes"] > 0
+        and result.fault_counts["retries"] > 0
+        and result.fault_counts["job_restarts"] > 0,
+    ),
+    "sprinting": (
+        {"policy": SchedulingPolicy.dias({2: 0.0, 0: 0.2}, limited_sprint_config())},
+        lambda result: result.sprinted_seconds > 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
+@pytest.mark.parametrize("scheduler", STAGE_SCHEDULERS)
+def test_frontier_candidates_equal_a_full_stage_scan(scheduler, case):
+    options, reached = FRONTIER_CASES[case]
+    check = _FullScanCheck(AgentDecisionHook(BuiltinAgent()))
+    hooked = _dag_run(scheduler, hook=check, **options)
+    assert check.decisions > 0
+    assert reached(hooked)
+    assert hooked.metrics.records == _dag_run(scheduler, **options).metrics.records
+
+
+@pytest.mark.parametrize("scheduler", STAGE_SCHEDULERS)
+def test_frontier_admits_stages_readied_through_emptied_parents(scheduler):
+    # No drop ratio below 1 empties a stage (⌈n(1 − θ)⌉ keeps a task), so
+    # empty every other stage with children through an explicit plan.  An
+    # emptied stage completes on activation and readies its children in
+    # cascade; those children must still reach the frontier.
+    scenario = scenario_module.dag_layered_scenario(num_jobs=6)
+    emptied_total = 0
+    for job in scenario.generate_trace(seed=SEED):
+        emptied = {
+            stage.index: []
+            for stage in job.dag
+            if stage.index % 2 == 1 and job.dag.children(stage.index)
+        }
+        emptied_total += len(emptied)
+        sim = Simulator()
+        done = []
+        check = _FullScanCheck(AgentDecisionHook(BuiltinAgent()))
+        execution = DagExecution(
+            sim,
+            scenario.cluster,
+            job,
+            scheduler=scheduler,
+            on_complete=done.append,
+            kept_map_indices=emptied,
+            kept_reduce_indices=emptied,
+            decision_hook=check,
+        )
+        execution.start()
+        sim.run()
+        assert done == [execution]
+        assert check.decisions > 0
+    assert emptied_total > 0
