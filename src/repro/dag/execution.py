@@ -148,7 +148,7 @@ class StageRun:
                 return
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveTask:
     """Book-keeping for one in-flight task on one slot.
 
@@ -277,6 +277,10 @@ class DagExecution:
         #: in the same order as scanning every stage.
         self._frontier: List[StageRun] = []
         self._active: Dict[int, _ActiveTask] = {}
+        #: Completion callback per slot, built on the slot's first task and
+        #: reused after.  Each one refers back to this execution, so the dict
+        #: is cleared at finish and eviction to break the cycle.
+        self._task_callbacks: Dict[int, Callable[[Simulator], None]] = {}
         self._free_slots: List[int] = []
         self._ready_counter = 0
         self._remaining_stages = len(self._runs)
@@ -394,7 +398,7 @@ class DagExecution:
                 )
             else:
                 new_event = self.sim.schedule(
-                    remaining_work / speed, self._make_task_callback(slot), priority=1
+                    remaining_work / speed, self._task_callback(slot), priority=1
                 )
             # Mutate in place so fault fields (base/attempt/will_fail) survive.
             active.event = new_event
@@ -421,6 +425,7 @@ class DagExecution:
         for event, _base, _attempt, _run in self._retries.values():
             event.cancel()
         self._retries.clear()
+        self._task_callbacks.clear()
         self.evicted = True
         return now - (self.start_time if self.start_time is not None else now)
 
@@ -557,15 +562,15 @@ class DagExecution:
                 self._start_task(slot, run, duration, attempt=1)
                 continue
             event = self.sim.schedule(
-                duration / self._speed, self._make_task_callback(slot), priority=1
+                duration / self._speed, self._task_callback(slot), priority=1
             )
             self._active[slot] = _ActiveTask(
-                slot=slot,
-                event=event,
-                speed=self._speed,
-                stage_run=run,
-                started_at=self.sim.now,
-                span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
+                slot,
+                event,
+                self._speed,
+                run,
+                self.sim.now,
+                self.telemetry.new_span_id() if self.telemetry.tracing else 0,
             )
 
     def _start_task(self, slot: int, run: StageRun, base: float, attempt: int) -> None:
@@ -578,7 +583,7 @@ class DagExecution:
         slowdown = faults.draw_slowdown()
         will_fail = faults.draw_task_failure()
         event = self.sim.schedule(
-            (base * slowdown) / self._speed, self._make_task_callback(slot), priority=1
+            (base * slowdown) / self._speed, self._task_callback(slot), priority=1
         )
         self._active[slot] = _ActiveTask(
             slot=slot,
@@ -600,6 +605,13 @@ class DagExecution:
                 slot=slot,
                 slowdown=slowdown,
             )
+
+    def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        """The completion callback of ``slot``, built on first use."""
+        callback = self._task_callbacks.get(slot)
+        if callback is None:
+            callback = self._task_callbacks[slot] = self._make_task_callback(slot)
+        return callback
 
     def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
         def _callback(_sim: Simulator) -> None:
@@ -753,4 +765,5 @@ class DagExecution:
         self._accumulate_sprint(now)
         self.completed = True
         self.completion_time = now
+        self._task_callbacks.clear()
         self.on_complete(self)

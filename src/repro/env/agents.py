@@ -162,9 +162,11 @@ def _design(features: Sequence[Sequence[float]]) -> np.ndarray:
     matrix = np.asarray(features, dtype=float)
     denom = np.abs(matrix).max(axis=0)
     denom[denom == 0.0] = 1.0
-    matrix = matrix / denom
-    bias = np.ones((matrix.shape[0], 1))
-    return np.concatenate([matrix, bias], axis=1)
+    rows, dim = matrix.shape
+    design = np.empty((rows, dim + 1))
+    np.divide(matrix, denom, out=design[:, :dim])
+    design[:, dim] = 1.0
+    return design
 
 
 class EpsilonGreedyAgent(Agent):
@@ -239,6 +241,11 @@ class LinUCBAgent(Agent):
     scores each candidate ``x`` as ``θᵀx + alpha·sqrt(xᵀ A⁻¹ x)`` with
     ``θ = A⁻¹ b``.  Fully deterministic (ties resolve to the lowest index);
     freezing drops the exploration bonus and stops updates.
+
+    ``A⁻¹`` and ``θ`` change only when a reward arrives, so they are solved
+    once and cached until the next :meth:`observe` rather than at every
+    decision.  The cache assumes ``A`` and ``b`` change only there (or
+    before the first :meth:`act`, as :func:`load_agent` sets them).
     """
 
     name = "linucb"
@@ -257,6 +264,8 @@ class LinUCBAgent(Agent):
         self.frozen = False
         self.A: Optional[np.ndarray] = None
         self.b: Optional[np.ndarray] = None
+        #: ``(A⁻¹, θ)`` for the current ``A``/``b``; ``None`` until solved.
+        self._solution: Optional[tuple] = None
 
     def freeze(self) -> None:
         self.frozen = True
@@ -269,8 +278,10 @@ class LinUCBAgent(Agent):
     def act(self, point: DecisionPoint, features=None) -> int:
         design = _design(features)
         self._ensure(design.shape[1])
-        inverse = np.linalg.inv(self.A)
-        theta = inverse @ self.b
+        if self._solution is None:
+            inverse = np.linalg.inv(self.A)
+            self._solution = (inverse, inverse @ self.b)
+        inverse, theta = self._solution
         scores = design @ theta
         if not self.frozen and self.alpha > 0.0:
             widths = np.sqrt(np.einsum("ij,jk,ik->i", design, inverse, design))
@@ -284,6 +295,7 @@ class LinUCBAgent(Agent):
             return
         self.A += np.outer(context, context)
         self.b += reward * context
+        self._solution = None
 
     def state(self) -> Dict[str, Any]:
         return {

@@ -111,6 +111,31 @@ def test_frozen_linucb_drops_the_exploration_bonus():
     )
 
 
+def _rebuilt(agent, path):
+    """A fresh LinUCB agent loaded from ``agent``'s current ``A`` and ``b``."""
+    save_agent(agent, str(path))
+    return load_agent(str(path))
+
+
+def test_linucb_cached_solve_tracks_every_reward(tmp_path):
+    rng = np.random.default_rng(11)
+    feature_sets = [rng.uniform(0.0, 10.0, size=(n, 4)).tolist() for n in (3, 5, 2, 4)]
+    agent = LinUCBAgent(alpha=0.5)
+    choices = []
+    for step in range(24):
+        features = feature_sets[step % len(feature_sets)]
+        fresh = _rebuilt(agent, tmp_path / "linucb.json")
+        action = agent.act(_point(len(features)), features)
+        assert action == fresh.act(_point(len(features)), features)
+        assert np.array_equal(agent.last_context, fresh.last_context)
+        choices.append(action)
+        # Rewards arrive in batches: some decisions see none, some several.
+        for _ in range(step % 3):
+            reward = 1.0 if action == len(features) - 1 else -1.0
+            agent.observe(agent.last_context, reward)
+    assert len(set(choices)) > 1
+
+
 def test_linucb_rejects_bad_hyperparameters():
     with pytest.raises(ValueError, match="alpha"):
         LinUCBAgent(alpha=-0.1)
