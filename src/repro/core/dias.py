@@ -19,12 +19,20 @@ The controller reproduces the prototype's state machine:
 whole job trace, returning a :class:`SimulationResult` with the metrics the
 paper reports (mean/tail latency per class, queueing/execution decomposition,
 resource waste, energy, accuracy loss).
+
+The controller is the one DiAS mechanism in the code base.  The DAG
+controller (:class:`~repro.dag.simulation.DagSimulation`) subclasses it and
+replaces only the policy-shaped pieces: how a job's drop plan is made
+(:meth:`DiASSimulation._plan_drops`), which execution runs it
+(:meth:`DiASSimulation._make_execution`), extra attempt-span fields, the
+``run_start`` fields and the result type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import PriorityBuffers
 from repro.core.dropper import DropPlan, TaskDropper
@@ -170,6 +178,13 @@ class DiASSimulation:
     :meth:`finalize` once the shared kernel has drained.
     """
 
+    #: Whether the controller keeps the backlog estimate behind
+    #: :meth:`work_left` (least-work-left routing, the ``work_left`` sample
+    #: field, checkpointed ``queued_work``).  Estimating a DAG job's service
+    #: time needs a critical-path analysis per arrival, so the DAG controller
+    #: turns it off.
+    tracks_backlog = True
+
     def __init__(
         self,
         policy: SchedulingPolicy,
@@ -251,14 +266,20 @@ class DiASSimulation:
         # times) per job while span tracing is on; empty otherwise.
         self._trace: Dict[int, Dict[str, Any]] = {}
         self._completed = 0
-        # Invoked after every completion; embedders (fleet) and the telemetry
-        # sampler use it to react to end-of-workload without polling.
+        # Completions that drain a standalone run: the trace length, or
+        # unknown (infinite) until a streaming source runs dry.  Embedded
+        # controllers never drain on their own; the fleet tracks its workload.
+        self._drain_target: float = len(self.jobs) if self.jobs else math.inf
+        self._sampler: Optional[PeriodicSampler] = None
+        # Invoked after every completion; embedders (fleet, checkpointing)
+        # use it to react to end-of-workload without polling.
         self.on_job_complete: Optional[Callable[[], None]] = None
         # Invoked with every finished JobRecord; embedders tee records into a
         # shared (streaming) collector without touching per-cluster metrics.
         self.on_job_record: Optional[Callable[[JobRecord], None]] = None
         self._total_evictions = 0
-        # Backlog estimate maintained for dispatcher load queries.
+        # Backlog estimate for dispatcher load queries (kept up to date only
+        # when ``tracks_backlog``); the start time serves the busy sample too.
         self._service_estimates: Dict[int, float] = {}
         self._queued_work = 0.0
         self._running_estimate = 0.0
@@ -288,24 +309,30 @@ class DiASSimulation:
         # avoidable Python frames: one depth pass doubles as the total queue
         # depth, :meth:`work_left` is inlined, field names are interned once
         # per priority, and integer counters stay integers (the schema admits
-        # any number).
+        # any number).  The literal is large enough that the dict is sized
+        # once for the fields added after it.
         now = self.sim.now
         running = self._running
         busy = self.metrics.busy_time + self.metrics.wasted_time
-        work_left = self._queued_work
         if running is not None:
             busy += max(0.0, now - self._running_started_at)
-            work_left += max(
-                0.0, self._running_estimate - (now - self._running_started_at)
-            )
+        meter = self.energy_meter
         sample: Dict[str, float] = {
             "utilisation": (busy / now) if now > 0 else 0.0,
             "queue_depth": 0,
             "running": 1.0 if running is not None else 0.0,
-            "work_left": work_left,
             "completed_jobs": self._completed,
             "evictions": self._total_evictions,
+            "energy_joules": meter.projected_joules(now),
+            "power_mode": meter._mode,
         }
+        if self.tracks_backlog:
+            work_left = self._queued_work
+            if running is not None:
+                work_left += max(
+                    0.0, self._running_estimate - (now - self._running_started_at)
+                )
+            sample["work_left"] = work_left
         depth_keys = self._depth_keys
         total_depth = 0
         for priority, depth in self.buffers.depth_rows():
@@ -315,9 +342,6 @@ class DiASSimulation:
                 key = depth_keys[priority] = f"depth_p{priority}"
             sample[key] = depth
         sample["queue_depth"] = total_depth
-        meter = self.energy_meter
-        sample["energy_joules"] = meter.projected_joules(now)
-        sample["power_mode"] = meter._mode
         return sample
 
     def work_left(self) -> float:
@@ -326,6 +350,8 @@ class DiASSimulation:
         Buffered jobs count their wave-approximation service time under the
         policy's drop ratio; the running job counts its estimate minus the
         time it has already been executing.  Used by least-work-left routing.
+        Always 0 for controllers that do not track the backlog
+        (``tracks_backlog = False``).
         """
         remaining = self._queued_work
         if self._running is not None:
@@ -349,8 +375,6 @@ class DiASSimulation:
         Entry point for external routers (the fleet dispatcher): the job joins
         its priority buffer immediately, exactly as a scheduled arrival would.
         """
-        if job.job_id not in self._job_state:
-            self._job_state[job.job_id] = {"wasted": 0.0, "evictions": 0}
         self._on_arrival(job)
 
     def schedule_trace(self) -> None:
@@ -364,7 +388,6 @@ class DiASSimulation:
         for job in self.jobs:
             if cutoff is not None and job.arrival_time <= cutoff:
                 continue
-            self._job_state[job.job_id] = {"wasted": 0.0, "evictions": 0}
             self.sim.schedule_at(
                 job.arrival_time, self._make_arrival_callback(job), priority=0
             )
@@ -372,29 +395,24 @@ class DiASSimulation:
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Run the whole trace to completion (or until the optional horizon)."""
         self.schedule_trace()
-        if self.faults is not None and not self.faults.started:
-            self.faults.start()
-        if (
-            self.faults is not None
-            and self.jobs
-            and self._completed >= len(self.jobs)
-        ):
-            # Resumed from a snapshot taken after the workload drained: no
-            # completion event will fire the stop, so cancel the crash/repair
-            # renewal process here or the heap never empties.
-            self.faults.stop()
+        if self.faults is not None:
+            if not self.faults.started:
+                self.faults.start()
+            if self._completed >= self._drain_target:
+                # Resumed from a snapshot taken after the workload drained:
+                # no completion event will fire the stop, so cancel the
+                # crash/repair renewal process here or the heap never empties.
+                self.faults.stop()
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.emit(
                 "run_start",
                 self.sim.now,
                 src=self.telemetry_src,
-                run="dias",
-                policy=self.policy.name,
+                **self._run_start_fields(),
             )
             if telemetry.sample_interval is not None:
-                total = len(self.jobs)
-                sampler = PeriodicSampler(
+                self._sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
                     telemetry.sample_interval,
@@ -402,14 +420,9 @@ class DiASSimulation:
                         (self.telemetry_src, self.telemetry_sample),
                         ("kernel", kernel_sample_source(self.sim)),
                     ],
-                    should_continue=lambda: self._completed < total,
+                    should_continue=lambda: self._completed < self._drain_target,
                 )
-                sampler.start()
-                # Cancel the trailing tick at end-of-workload so sampling
-                # never advances the clock past the unsampled run's end.
-                self.on_job_complete = (
-                    lambda: sampler.stop() if self._completed >= total else None
-                )
+                self._sampler.start()
         self.sim.run(until=until)
         result = self.finalize()
         if telemetry.enabled:
@@ -427,7 +440,7 @@ class DiASSimulation:
         self.energy_meter.advance(self.sim.now)
         self.metrics.set_observation_time(self.sim.now)
         account = self.energy_meter.account
-        return SimulationResult(
+        return self._make_result(
             policy_name=self.policy.name,
             metrics=self.metrics,
             duration=self.sim.now,
@@ -443,6 +456,59 @@ class DiASSimulation:
             fault_counts=dict(self.faults.counters) if self.faults is not None else {},
         )
 
+    # ------------------------------------------------- controller-specific
+    def _run_start_fields(self) -> Dict[str, Any]:
+        """Fields of the ``run_start`` event besides ``t`` and ``src``."""
+        return {"run": "dias", "policy": self.policy.name}
+
+    def _make_result(self, **fields: Any) -> SimulationResult:
+        """Build the run's result from the common fields of :meth:`finalize`."""
+        return SimulationResult(**fields)
+
+    def _plan_drops(self, job: Job) -> Tuple[DropPlan, float, float]:
+        """Plan which tasks ``job`` sheds; returns ``(plan, map, reduce)``.
+
+        ``map``/``reduce`` are the drop ratios the ``drop_decision`` event
+        reports.
+        """
+        if self.drop_ratio_provider is not None:
+            decision = self.drop_ratio_provider(job, self.sim.now, self.metrics)
+            map_drop = decision.map_drop_ratio
+            reduce_drop = decision.reduce_drop_ratio
+        else:
+            map_drop = self.policy.map_drop_ratio(job.priority)
+            reduce_drop = self.policy.reduce_drop_ratio(job.priority)
+        return self.dropper.plan(job, map_drop, reduce_drop), map_drop, reduce_drop
+
+    def _make_execution(
+        self, job: Job, plan: DropPlan, map_drop: float, reduce_drop: float,
+        trace_parent: int,
+    ) -> JobExecution:
+        """The execution that runs ``job``'s surviving tasks on the cluster."""
+        phases = build_phases(
+            job,
+            map_drop_ratio=map_drop,
+            reduce_drop_ratio=reduce_drop,
+            kept_map_indices=plan.kept_map_indices,
+            kept_reduce_indices=plan.kept_reduce_indices,
+        )
+        return JobExecution(
+            self.sim,
+            self.cluster,
+            job,
+            phases,
+            on_complete=self._on_complete,
+            telemetry=self.telemetry,
+            telemetry_src=self.telemetry_src,
+            trace_parent=trace_parent,
+            faults=self.faults,
+            on_give_up=self._on_task_exhausted if self.faults is not None else None,
+        )
+
+    def _attempt_span_fields(self, execution: JobExecution) -> Dict[str, Any]:
+        """Extra fields of a closing ``attempt`` span (none for MapReduce)."""
+        return {}
+
     # --------------------------------------------------------------- events
     def _make_arrival_callback(self, job: Job):
         def _callback(_sim: Simulator) -> None:
@@ -451,6 +517,10 @@ class DiASSimulation:
         return _callback
 
     def _on_arrival(self, job: Job) -> None:
+        # Per-job bookkeeping lives from the first arrival to completion; a
+        # reused job id (hand-built traces) shares the entry still in flight.
+        if job.job_id not in self._job_state:
+            self._job_state[job.job_id] = {"wasted": 0.0, "evictions": 0}
         if self.telemetry.enabled:
             self.telemetry.emit(
                 "job_admitted",
@@ -470,7 +540,8 @@ class DiASSimulation:
                 "queue_start": self.sim.now,
             }
         self.buffers.push(job)
-        self._queued_work += self._estimated_service_time(job)
+        if self.tracks_backlog:
+            self._queued_work += self._estimated_service_time(job)
         if self._running is None:
             self._dispatch_next()
             return
@@ -485,15 +556,12 @@ class DiASSimulation:
             self._running_plan = None
             self.energy_meter.set_mode("idle", self.sim.now)
             return
-        self._queued_work = max(0.0, self._queued_work - self._estimated_service_time(job))
-        if self.drop_ratio_provider is not None:
-            decision = self.drop_ratio_provider(job, self.sim.now, self.metrics)
-            map_drop = decision.map_drop_ratio
-            reduce_drop = decision.reduce_drop_ratio
-        else:
-            map_drop = self.policy.map_drop_ratio(job.priority)
-            reduce_drop = self.policy.reduce_drop_ratio(job.priority)
-        plan = self.dropper.plan(job, map_drop, reduce_drop)
+        tracks_backlog = self.tracks_backlog
+        if tracks_backlog:
+            self._queued_work = max(
+                0.0, self._queued_work - self._estimated_service_time(job)
+            )
+        plan, map_drop, reduce_drop = self._plan_drops(job)
         if self.telemetry.enabled:
             # kept_map_indices maps stage index -> kept task indices.
             kept = sum(len(idx) for idx in plan.kept_map_indices.values())
@@ -508,13 +576,6 @@ class DiASSimulation:
                 kept_map_tasks=kept,
                 dropped_map_tasks=job.num_map_tasks - kept,
             )
-        phases = build_phases(
-            job,
-            map_drop_ratio=map_drop,
-            reduce_drop_ratio=reduce_drop,
-            kept_map_indices=plan.kept_map_indices,
-            kept_reduce_indices=plan.kept_reduce_indices,
-        )
         trace_parent = 0
         if self.telemetry.tracing:
             trace_parent = self._trace_dispatch(job, plan)
@@ -522,21 +583,11 @@ class DiASSimulation:
         # triggered later by the sprinter's timer.
         self.cluster.set_sprinting(False)
         self.energy_meter.set_mode("busy", self.sim.now)
-        execution = JobExecution(
-            self.sim,
-            self.cluster,
-            job,
-            phases,
-            on_complete=self._on_complete,
-            telemetry=self.telemetry,
-            telemetry_src=self.telemetry_src,
-            trace_parent=trace_parent,
-            faults=self.faults,
-            on_give_up=self._on_task_exhausted if self.faults is not None else None,
-        )
+        execution = self._make_execution(job, plan, map_drop, reduce_drop, trace_parent)
         self._running = execution
         self._running_plan = plan
-        self._running_estimate = self._estimated_service_time(job)
+        if tracks_backlog:
+            self._running_estimate = self._estimated_service_time(job)
         self._running_started_at = self.sim.now
         execution.start(speed=self.cluster.speed)
         if self.sprinter is not None:
@@ -546,8 +597,8 @@ class DiASSimulation:
     def _trace_dispatch(self, job: Job, plan: DropPlan) -> int:
         """Close the queue span, open the attempt span, annotate the drop.
 
-        Returns the attempt span id, which the :class:`JobExecution` uses as
-        the parent of its wave/task spans.  Only called while tracing.
+        Returns the attempt span id, which the execution uses as the parent
+        of its wave/stage/task spans.  Only called while tracing.
         """
         telemetry = self.telemetry
         now = self.sim.now
@@ -589,7 +640,11 @@ class DiASSimulation:
         return attempt_id
 
     def _trace_attempt_end(self, execution: JobExecution, outcome: str) -> None:
-        """Close the current attempt span; only called while tracing."""
+        """Close the current attempt span; only called while tracing.
+
+        :meth:`_attempt_span_fields` adds controller-specific fields (the DAG
+        controller's PERT predictions).
+        """
         job = execution.job
         state = self._trace[job.job_id]
         self.telemetry.emit(
@@ -605,6 +660,7 @@ class DiASSimulation:
             attempt=state["attempt"],
             outcome=outcome,
             sprinted=execution.sprinted_time,
+            **self._attempt_span_fields(execution),
         )
 
     def _evict_running(self) -> None:
@@ -651,7 +707,8 @@ class DiASSimulation:
         state["evictions"] += 1
         self._total_evictions += 1
         self.buffers.push_front(job)
-        self._queued_work += self._estimated_service_time(job)
+        if self.tracks_backlog:
+            self._queued_work += self._estimated_service_time(job)
         self._running = None
         self._running_plan = None
 
@@ -716,16 +773,16 @@ class DiASSimulation:
                 priority=job.priority,
             )
         self._completed += 1
-        if (
-            self.faults is not None
-            and self.jobs
-            and self._completed >= len(self.jobs)
-        ):
+        if self._completed >= self._drain_target:
             # Standalone run drained: cancel the open-ended crash/repair
-            # renewal process so the event heap can empty.  Fleet-embedded
-            # controllers have an empty job list; the fleet stops their
-            # injectors from its own completion hook.
-            self.faults.stop()
+            # renewal process so the event heap can empty, and the sampler's
+            # trailing tick so sampling never advances the clock past the
+            # unsampled run's end.  Fleet-embedded controllers never drain on
+            # their own; the fleet stops their injectors from its own hook.
+            if self.faults is not None:
+                self.faults.stop()
+            if self._sampler is not None:
+                self._sampler.stop()
         if self.on_job_complete is not None:
             self.on_job_complete()
         self._running = None

@@ -17,8 +17,9 @@ physical plans and ML pipelines:
 * :mod:`repro.dag.execution` — :class:`DagExecution`, the frontier-driven
   engine running ready stages concurrently on the cluster's slots (with DVFS
   rescaling and eviction, like the linear engine).
-* :mod:`repro.dag.simulation` — :class:`DagSimulation`, DiAS (buffers,
-  per-stage differential approximation, sprinting, energy) on DAG jobs.
+* :mod:`repro.dag.simulation` — :class:`DagSimulation`, the DiAS
+  controller (:class:`~repro.core.dias.DiASSimulation`, subclassed) with a
+  per-stage drop plan and a :class:`DagExecution` per dispatched job.
 """
 
 from repro.dag.analytics import (

@@ -16,7 +16,8 @@ given seed, independent of the routing policy being compared.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+import math
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.dias import DiASSimulation, DropRatioDecision
 from repro.core.policies import SchedulingPolicy
@@ -28,7 +29,7 @@ from repro.fleet.dispatcher import Dispatcher, make_dispatcher
 from repro.fleet.result import FleetResult
 from repro.models.accuracy import AccuracyModel
 from repro.simulation.decisions import ROUTE, DecisionHook, DecisionPoint
-from repro.simulation.des import Simulator
+from repro.simulation.des import ArrivalPump, Simulator
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.random_streams import RandomStreams
 from repro.telemetry import NULL_HUB, PeriodicSampler, TelemetryHub, kernel_sample_source
@@ -127,8 +128,9 @@ class FleetSimulation:
         self.policy = policy
         self.jobs = sorted(jobs, key=lambda j: j.arrival_time)
         self.job_source = job_source
-        self._source_iter: Optional[Iterator[Job]] = None
-        self._source_done = job_source is None
+        # Completions that drain the fleet: the trace length, or unknown
+        # (infinite) until a streaming source runs dry.
+        self._drain_target: float = math.inf if job_source is not None else len(self.jobs)
         self.streams = streams or RandomStreams(seed)
         #: Optional external agent consulted at every routing decision;
         #: ``None`` keeps the built-in dispatcher path untouched.  Not
@@ -228,7 +230,9 @@ class FleetSimulation:
         self._ran = True
         cutoff = self._resume_time
         if self.job_source is not None:
-            self._start_streaming()
+            ArrivalPump(
+                self.sim, self.job_source, self._route, self._source_exhausted
+            ).start()
         else:
             for job in self.jobs:
                 if cutoff is not None and job.arrival_time <= cutoff:
@@ -333,10 +337,11 @@ class FleetSimulation:
         return sum(c.completed_jobs for c in self.controllers)
 
     def _drained(self) -> bool:
-        """End-of-workload: every known job has been routed and completed."""
-        if self.job_source is not None:
-            return self._source_done and self._completed_jobs() >= self._routed
-        return self._completed_jobs() >= len(self.jobs)
+        """End-of-workload: every job of the trace has completed."""
+        return self._completed_jobs() >= self._drain_target
+
+    def _source_exhausted(self, total: int) -> None:
+        self._drain_target = total
 
     def fault_counters(self) -> dict:
         """Fleet-wide fault/recovery counters summed over all injectors."""
@@ -441,34 +446,6 @@ class FleetSimulation:
     # ---------------------------------------------------------------- events
     def _make_routing_callback(self, job: Job):
         def _callback(_sim: Simulator) -> None:
-            self._route(job)
-
-        return _callback
-
-    # ------------------------------------------------------------- streaming
-    def _start_streaming(self) -> None:
-        """Prime the chained-arrival pump from the streaming job source."""
-        self._source_iter = iter(self.job_source)
-        first = next(self._source_iter, None)
-        if first is None:
-            raise ValueError("the streaming job source yielded no jobs")
-        self._schedule_streamed(first)
-
-    def _schedule_streamed(self, job: Job) -> None:
-        self.sim.schedule_at(
-            job.arrival_time, self._make_streamed_callback(job), priority=0
-        )
-
-    def _make_streamed_callback(self, job: Job):
-        def _callback(_sim: Simulator) -> None:
-            # Pull and schedule the successor BEFORE routing this job: at
-            # equal timestamps the heap sequence then matches the batch
-            # path, which pre-schedules all arrivals in trace order.
-            successor = next(self._source_iter, None)
-            if successor is None:
-                self._source_done = True
-            else:
-                self._schedule_streamed(successor)
             self._route(job)
 
         return _callback

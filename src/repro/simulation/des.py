@@ -41,13 +41,15 @@ Design notes
   survivors pops them in exactly the same order as lazy skipping would have —
   compaction is invisible to the simulation.
 * The kernel knows nothing about jobs, priorities or energy; it only runs
-  callbacks at simulated times.
+  callbacks at simulated times.  :class:`ArrivalPump` is the one helper that
+  sits on top: it feeds a lazy, arrival-ordered source (anything whose items
+  carry an ``arrival_time``) into the heap one arrival at a time.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -417,3 +419,53 @@ class Simulator:
         while heap and heap[0][3].cancelled:
             _heappop(heap)
             self._cancel_pops += 1
+
+
+class ArrivalPump:
+    """Feeds a lazy, arrival-ordered source into a simulator one item at a time.
+
+    Only the next arrival is ever in the event heap, so a streaming replay
+    never materialises its trace.  Each arrival event first pulls and
+    schedules its successor, then hands its own item to ``deliver``: at equal
+    timestamps the heap sequence then matches a batch run that schedules
+    every arrival up front in trace order.  When the source runs dry,
+    ``on_exhausted`` receives the number of items it yielded; the last of them
+    is delivered right after, so no arrival is still pending at that point.
+    """
+
+    __slots__ = ("_sim", "_pulled", "_items", "_deliver", "_on_exhausted")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        source: Iterable[Any],
+        deliver: Callable[[Any], None],
+        on_exhausted: Callable[[int], None],
+    ) -> None:
+        self._sim = sim
+        self._pulled = 0  # items taken from the source so far
+        self._items = iter(source)
+        self._deliver = deliver
+        self._on_exhausted = on_exhausted
+
+    def start(self) -> None:
+        """Schedule the first arrival; an empty source is an error."""
+        first = next(self._items, None)
+        if first is None:
+            raise ValueError("the streaming job source yielded no jobs")
+        self._schedule(first)
+
+    def _schedule(self, item: Any) -> None:
+        self._pulled += 1
+        self._sim.schedule_at(item.arrival_time, self._make_callback(item), priority=0)
+
+    def _make_callback(self, item: Any) -> Callable[[Simulator], None]:
+        def _callback(_sim: Simulator) -> None:
+            successor = next(self._items, None)
+            if successor is None:
+                self._on_exhausted(self._pulled)
+            else:
+                self._schedule(successor)
+            self._deliver(item)
+
+        return _callback

@@ -9,6 +9,8 @@ import math
 from repro.core.config import SprintConfig
 from repro.core.dias import DiASSimulation, DropRatioDecision, run_policy
 from repro.core.policies import SchedulingPolicy
+from repro.dag.graph import DagJob, DagStage, StageDAG
+from repro.dag.simulation import DagSimulation
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.job import Job, StageSpec
 from repro.engine.profiles import JobClassProfile
@@ -236,12 +238,26 @@ def test_drop_ratio_decision_validates_bounds():
             DropRatioDecision(map_drop_ratio=0.0, reduce_drop_ratio=bad)
 
 
-def test_duplicate_job_ids_are_tolerated():
+def make_dag_job(job_id: int, priority: int, arrival: float, task_time: float = 10.0,
+                 partitions: int = 4) -> DagJob:
+    """The DAG twin of :func:`make_job`: one droppable stage, no reduce."""
+    stage = DagStage(index=0, map_task_times=[task_time] * partitions,
+                     reduce_task_times=[], shuffle_time=0.0)
+    return DagJob(job_id=job_id, priority=priority, arrival_time=arrival, size_mb=10.0,
+                  dag=StageDAG([stage]), profile=profile_for(priority))
+
+
+@pytest.mark.parametrize("controller, make", [(DiASSimulation, make_job),
+                                              (DagSimulation, make_dag_job)],
+                         ids=["DiASSimulation", "DagSimulation"])
+def test_duplicate_job_ids_are_tolerated(controller, make):
     # Hand-built traces (e.g. two generated halves concatenated) can reuse
     # job ids; completion bookkeeping must not assume ids are unique even
     # though it pops per-job state to keep streaming replays bounded.
-    jobs = [make_job(0, LOW, arrival=0.0), make_job(0, LOW, arrival=1.0),
-            make_job(0, HIGH, arrival=2.0)]
-    result = run_policy(SchedulingPolicy.preemptive_priority(), jobs,
-                        cluster=small_cluster())
+    jobs = [make(0, LOW, arrival=0.0), make(0, LOW, arrival=1.0),
+            make(0, HIGH, arrival=2.0)]
+    result = controller(SchedulingPolicy.preemptive_priority(), jobs=jobs,
+                        cluster=small_cluster()).run()
     assert result.metrics.job_count == 3
+    assert result.completed_jobs == 3
+    assert result.evictions >= 1

@@ -177,6 +177,29 @@ def test_dias_checkpoint_resume_is_bitwise_identical(tmp_path):
     assert dict(resumed.fault_counts) == dict(reference.fault_counts)
 
 
+def test_dias_checkpointing_survives_periodic_sampling(tmp_path):
+    # The sampler's end-of-run stop must not displace the checkpoint hook:
+    # both react to completions of the same run.
+    from repro.telemetry import RingBufferSink, TelemetryHub
+
+    path = tmp_path / "dias.ckpt"
+    hub = TelemetryHub(sample_interval=10.0)
+    sink = hub.add_sink(RingBufferSink(capacity=1 << 16))
+    scenario = reference_two_priority_scenario(num_jobs=40).with_utilisation(0.4)
+    simulation = DiASSimulation(
+        policy=SchedulingPolicy.non_preemptive_priority(),
+        jobs=scenario.generate_trace(seed=7),
+        cluster=Cluster(config=scenario.cluster.config),
+        seed=7,
+        telemetry=hub,
+    )
+    attach_dias_checkpointing(simulation, every=50.0, path=str(path))
+    result = simulation.run()
+    assert load_checkpoint(str(path))["kind"] == "dias"
+    sample_times = [event["t"] for event in sink.events if event["kind"] == "sample"]
+    assert sample_times and max(sample_times) <= result.duration
+
+
 def test_attach_dias_checkpointing_rejects_bad_interval():
     simulation = _dias_simulation()
     with pytest.raises(ValueError, match="must be positive"):

@@ -464,6 +464,24 @@ def test_dag_replay_runs_from_a_dag_trace(tmp_path, capsys):
     assert "10 jobs" in output
 
 
+def test_dag_replay_tolerates_a_repeated_job_id(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "dag.jsonl"
+    assert main(["synth-trace", "--out", str(path), "--format", "dag-jsonl",
+                 "--num-jobs", "6", "--seed", "2"]) == 0
+    capsys.readouterr()
+    header, first, second, *rest = path.read_text().splitlines()
+    record = json.loads(second)
+    record["id"] = json.loads(first)["id"]
+    path.write_text("\n".join([header, first, json.dumps(record), *rest]) + "\n")
+    assert main(["dag", "--replay", str(path)]) == 0
+    output = capsys.readouterr().out
+    assert "6 jobs" in output
+    completed = next(line for line in output.splitlines() if "completed_jobs" in line)
+    assert float(completed.split()[-1]) == 6.0
+
+
 def test_list_mentions_trace_formats(capsys):
     assert main(["list"]) == 0
     output = capsys.readouterr().out
