@@ -1,0 +1,103 @@
+"""Per-job cost of the DAG core on MapReduce jobs, against the linear engine.
+
+Every job of the ``fleet-jsq`` ledger workload (``fleet_two_priority_scenario``
+with 4 clusters x 400 jobs, DA(0/20) drop plans) runs alone on a fresh
+simulator twice: once through :class:`~repro.engine.execution.JobExecution`
+over :func:`~repro.engine.execution.build_phases`, and once as a chain DAG
+(stage *i* depends on stage *i - 1*) through
+:class:`~repro.dag.execution.DagExecution` under ``fifo``.  Construction
+counts, so the DAG side pays its per-job critical-path set-up.  The script
+checks that both cores finish every job at the same instant and prints the
+best-of-N host seconds of each side and their ratio::
+
+    PYTHONPATH=src python benchmarks/bench_chain_dag_cost.py [--repeats 5]
+
+Point ``PYTHONPATH`` at another checkout's ``src`` to measure that tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+from repro.core.dropper import TaskDropper
+from repro.dag.execution import DagExecution
+from repro.dag.graph import DagJob, DagStage, StageDAG
+from repro.engine.execution import JobExecution, build_phases
+from repro.simulation.des import Simulator
+from repro.workloads.scenarios import fleet_two_priority_scenario
+
+#: DA(0/20): the low class drops 20 % of its map tasks, the high class none.
+MAP_DROP = {0: 0.2}
+
+
+def as_chain(job) -> DagJob:
+    """``job`` as a chain DAG: each stage depends on the one before it."""
+    stages = [
+        DagStage(stage.index, list(stage.map_task_times), list(stage.reduce_task_times),
+                 stage.shuffle_time, stage.droppable,
+                 parents=(job.stages[i - 1].index,) if i else ())
+        for i, stage in enumerate(job.stages)
+    ]
+    return DagJob(job.job_id, job.priority, job.arrival_time, job.size_mb,
+                  StageDAG(stages), job.profile)
+
+
+def _linear(sim, cluster, job, ratio, plan, done):
+    phases = build_phases(job, ratio, 0.0, plan.kept_map_indices, plan.kept_reduce_indices)
+    return JobExecution(sim, cluster, job, phases, on_complete=done)
+
+
+def _chain(sim, cluster, job, ratio, plan, done):
+    return DagExecution(sim, cluster, job, scheduler="fifo", on_complete=done,
+                        map_drop_ratio=ratio, kept_map_indices=plan.kept_map_indices,
+                        kept_reduce_indices=plan.kept_reduce_indices)
+
+
+def _pass(make, cluster, inputs):
+    """Run every job alone; returns (host seconds, completion times)."""
+    times = []
+    start = time.perf_counter()
+    for job, ratio, plan in inputs:
+        sim = Simulator()
+        execution = make(sim, cluster, job, ratio, plan, lambda _execution: None)
+        execution.start(speed=1.0)
+        sim.run()
+        times.append(execution.completion_time)
+    return time.perf_counter() - start, times
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    scenario = fleet_two_priority_scenario(num_clusters=4, num_jobs_per_cluster=400)
+    jobs = scenario.generate_trace(seed=args.seed)
+    cluster = scenario.base.cluster
+    dropper = TaskDropper(np.random.default_rng(args.seed))
+    linear_inputs, chain_inputs = [], []
+    for job in jobs:
+        ratio = MAP_DROP.get(job.priority, 0.0)
+        plan = dropper.plan(job, ratio)
+        linear_inputs.append((job, ratio, plan))
+        chain_inputs.append((as_chain(job), ratio, plan))
+
+    best = {"linear": float("inf"), "chain": float("inf")}
+    for _ in range(args.repeats):
+        linear_s, linear_times = _pass(_linear, cluster, linear_inputs)
+        chain_s, chain_times = _pass(_chain, cluster, chain_inputs)
+        if chain_times != linear_times:
+            raise SystemExit("FAIL: chain DAG completion times differ from JobExecution")
+        best["linear"] = min(best["linear"], linear_s)
+        best["chain"] = min(best["chain"], chain_s)
+    print(f"{len(jobs)} jobs, best of {args.repeats}: JobExecution {best['linear']:.3f} s   "
+          f"chain DagExecution {best['chain']:.3f} s   "
+          f"ratio {best['chain'] / best['linear']:.2f}x")
+
+
+if __name__ == "__main__":
+    main()

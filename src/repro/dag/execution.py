@@ -65,6 +65,8 @@ class StageRun:
             self._phases.append(([stage.shuffle_time], False))
         self._phases.append((list(reduce_durations), True))
         self._phase_index = -1
+        #: Undispatched task durations of the current phase, last first:
+        #: ``pending[-1]`` is the next task to dispatch.
         self.pending: List[float] = []
         self._parallel = True
         self.active = 0
@@ -112,7 +114,7 @@ class StageRun:
         self._advance_to_nonempty_phase()
 
     def pop_task(self) -> float:
-        duration = self.pending.pop(0)
+        duration = self.pending.pop()
         self._undispatched -= duration
         self.active += 1
         return duration
@@ -123,7 +125,7 @@ class StageRun:
         The stage still has work, so it is not done and stays in the frontier.
         """
         self.active -= 1
-        self.pending.append(duration)
+        self.pending.insert(0, duration)
         self._undispatched += duration
 
     def task_finished(self) -> bool:
@@ -143,7 +145,7 @@ class StageRun:
                 return
             durations, parallel = self._phases[self._phase_index]
             if durations:
-                self.pending = list(durations)
+                self.pending = durations[::-1]
                 self._parallel = parallel
                 return
 
@@ -176,8 +178,9 @@ class DagExecution:
     Parameters
     ----------
     scheduler:
-        A :class:`StageScheduler` instance or name; consulted once per free
-        slot whenever more than one ready stage has pending tasks.
+        A :class:`StageScheduler` instance or name.  A scheduler whose key is
+        fixed once a stage is ready orders the frontier itself; any other is
+        consulted once per free slot (see :mod:`repro.dag.schedulers`).
     map_drop_ratio / reduce_drop_ratio:
         Uniform per-stage drop ratios (droppable stages only), mirroring
         :func:`~repro.engine.execution.build_phases`.
@@ -237,6 +240,12 @@ class DagExecution:
         self.trace_parent = trace_parent
         self._setup_span: Optional[tuple] = None
         self.scheduler = make_stage_scheduler(scheduler)
+        #: Whether the frontier is kept in the scheduler's pick order, so a
+        #: free slot takes the first stage that can serve it.  Otherwise it
+        #: is kept in topological order and scanned on every pick, which is
+        #: also the order the decision hook sees its candidates in.
+        self._ordered = self.scheduler.static_key and decision_hook is None
+        self._frontier_key = self.scheduler.key if self._ordered else _position
         self.on_complete = on_complete or (lambda execution: None)
         self._setup_time = job.setup_time(
             map_drop_ratio if setup_drop_ratio is None else setup_drop_ratio
@@ -271,10 +280,11 @@ class DagExecution:
         ).items():
             self._runs[index].rank = rank
 
-        #: The ready, not-done stages in topological order: the only stages a
-        #: free slot can serve.  A stage enters when activated and leaves when
-        #: its last phase finishes, so scanning it yields the same candidates
-        #: in the same order as scanning every stage.
+        #: The ready, not-done stages, sorted by ``_frontier_key``: the only
+        #: stages a free slot can serve.  A stage enters when activated and
+        #: leaves when its last phase finishes, so in topological order a scan
+        #: of it yields the same candidates in the same order as a scan of
+        #: every stage.
         self._frontier: List[StageRun] = []
         self._active: Dict[int, _ActiveTask] = {}
         #: Completion callback per slot, built on the slot's first task and
@@ -414,7 +424,7 @@ class DagExecution:
             for active in self._active.values():
                 if active.span_id and active.stage_run is not None:
                     self._emit_task_span(active, outcome="evicted")
-            for run in self._frontier:
+            for run in sorted(self._frontier, key=_position):
                 if run.span_id:
                     self._emit_stage_span(run, outcome="evicted")
             if self._setup_span is not None:
@@ -524,7 +534,7 @@ class DagExecution:
                     pending_tasks=current.pending_tasks,
                 )
             if not current.done:
-                insort(self._frontier, current, key=_position)
+                insort(self._frontier, current, key=self._frontier_key)
             else:
                 # Emptied by dropping: record a zero-length stage span so the
                 # observed DAG stays structurally complete.
@@ -538,39 +548,61 @@ class DagExecution:
                         stack.append(child)
 
     def _fill_slots(self) -> None:
-        hook = self._decision_hook
+        free = self._free_slots
         frontier = self._frontier
-        while self._free_slots:
-            eligible = [run for run in frontier if run.dispatchable]
-            if not eligible:
-                break
-            if hook is None:
-                run = self.scheduler.select(eligible)
+        ordered = self._ordered
+        hook = self._decision_hook
+        faults = self._faults
+        sim = self.sim
+        now = sim.now
+        speed = self._speed
+        active = self._active
+        callbacks = self._task_callbacks
+        telemetry = self.telemetry
+        tracing = telemetry.tracing
+        # Ordered path: the frontier holds only ready, not-done stages in
+        # pick order, and a pick only makes its own stage less dispatchable,
+        # so each pick resumes the scan where the previous one stopped.
+        cursor = 0
+        while free:
+            if ordered:
+                size = len(frontier)
+                while cursor < size:
+                    run = frontier[cursor]
+                    if run.pending and (run._parallel or run.active == 0):
+                        break
+                    cursor += 1
+                if cursor == size:
+                    break
             else:
-                choice = hook(
-                    DecisionPoint(STAGE, self.sim.now, eligible, self.job, self)
-                )
-                if not 0 <= choice < len(eligible):
-                    raise ValueError(
-                        f"decision hook returned invalid stage index {choice} "
-                        f"for {len(eligible)} dispatchable stage(s)"
-                    )
-                run = eligible[choice]
-            slot = self._free_slots.pop()
+                eligible = [run for run in frontier if run.dispatchable]
+                if not eligible:
+                    break
+                if hook is None:
+                    run = self.scheduler.select(eligible)
+                else:
+                    choice = hook(DecisionPoint(STAGE, now, eligible, self.job, self))
+                    if not 0 <= choice < len(eligible):
+                        raise ValueError(
+                            f"decision hook returned invalid stage index {choice} "
+                            f"for {len(eligible)} dispatchable stage(s)"
+                        )
+                    run = eligible[choice]
+            slot = free.pop()
             duration = run.pop_task()
-            if self._faults is not None:
+            if faults is not None:
                 self._start_task(slot, run, duration, attempt=1)
                 continue
-            event = self.sim.schedule(
-                duration / self._speed, self._task_callback(slot), priority=1
-            )
-            self._active[slot] = _ActiveTask(
+            callback = callbacks.get(slot)
+            if callback is None:
+                callback = callbacks[slot] = self._make_task_callback(slot)
+            active[slot] = _ActiveTask(
                 slot,
-                event,
-                self._speed,
+                sim.schedule(duration / speed, callback, priority=1),
+                speed,
                 run,
-                self.sim.now,
-                self.telemetry.new_span_id() if self.telemetry.tracing else 0,
+                now,
+                telemetry.new_span_id() if tracing else 0,
             )
 
     def _start_task(self, slot: int, run: StageRun, base: float, attempt: int) -> None:

@@ -19,6 +19,7 @@ topological iteration; a linear chain is just the special case where stage
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.engine.job import StageSpec
@@ -78,19 +79,17 @@ class StageDAG:
     # ------------------------------------------------------------ validation
     def _topological_sort(self) -> List[int]:
         indegree = {index: len(stage.parents) for index, stage in self._stages.items()}
-        ready = sorted(index for index, degree in indegree.items() if degree == 0)
+        # Kahn's algorithm, always taking the smallest ready index next.
+        ready = [index for index, degree in indegree.items() if degree == 0]
+        heapify(ready)
         order: List[int] = []
         while ready:
-            index = ready.pop(0)
+            index = heappop(ready)
             order.append(index)
-            inserted = False
             for child in self._children[index]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    ready.append(child)
-                    inserted = True
-            if inserted:
-                ready.sort()
+                    heappush(ready, child)
         if len(order) != len(self._stages):
             cyclic = sorted(index for index, degree in indegree.items() if degree > 0)
             raise ValueError(f"stage dependencies contain a cycle involving {cyclic}")

@@ -19,9 +19,26 @@ Implemented policies
 * :class:`WidestFirstScheduler` — serve the stage with the most pending
   tasks, maximising immediate slot occupancy.
 
-All schedulers are deterministic: candidates are presented in (ready-order,
-stage-index) order and every tie falls back to that order, so two runs with
-the same seed produce byte-identical traces.
+A policy is nothing more than an ordering
+-----------------------------------------
+Every built-in scheduler is one tie-broken sort key over the stages: the
+smallest key wins and :meth:`StageScheduler.select` is ``min(ready,
+key=self.key)``.  Each key ends in ``(ready_seq, index)``, and ``ready_seq``
+is unique within a job, so two ready stages never tie and the pick does not
+depend on the order the candidates come in.  Runs with the same seed are
+byte-identical.
+
+The keys of ``fifo`` and ``critical_path_first`` read only what is fixed
+once a stage is ready (its ready order, index and upward rank); those
+schedulers set :attr:`StageScheduler.static_key`.  A
+:class:`~repro.dag.execution.DagExecution` with such a scheduler and no
+decision hook keeps its frontier sorted by the key as stages become ready
+and serves each free slot from the first frontier stage that can take a
+task: the same stage ``select`` would pick, without building a candidate
+list per task.  The keys of ``shortest_remaining_work`` and ``widest_first``
+change as tasks are dispatched, so the execution scans its frontier (kept in
+topological order) and calls ``select`` once per task.  A custom scheduler
+may override ``select`` alone and leave ``static_key`` false.
 """
 
 from __future__ import annotations
@@ -57,8 +74,16 @@ class StageScheduler:
 
     name = "stage-scheduler"
 
-    def select(self, ready: Sequence[StageRunView]) -> StageRunView:
+    #: Whether :meth:`key` is fixed from the moment a stage becomes ready,
+    #: so an execution may keep its frontier sorted by it.
+    static_key = False
+
+    def key(self, run: StageRunView) -> tuple:
+        """Sort key of ``run``; the ready stage with the smallest key wins."""
         raise NotImplementedError
+
+    def select(self, ready: Sequence[StageRunView]) -> StageRunView:
+        return min(ready, key=self.key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -68,18 +93,22 @@ class FifoStageScheduler(StageScheduler):
     """First-ready-first-served (ties broken by stage index)."""
 
     name = "fifo"
+    static_key = True
 
-    def select(self, ready: Sequence[StageRunView]) -> StageRunView:
-        return min(ready, key=lambda run: (run.ready_seq, run.index))
+    @staticmethod
+    def key(run: StageRunView) -> tuple:
+        return (run.ready_seq, run.index)
 
 
 class CriticalPathFirstScheduler(StageScheduler):
     """Largest upward rank first — keep the critical path supplied with slots."""
 
     name = "critical_path_first"
+    static_key = True
 
-    def select(self, ready: Sequence[StageRunView]) -> StageRunView:
-        return min(ready, key=lambda run: (-run.rank, run.ready_seq, run.index))
+    @staticmethod
+    def key(run: StageRunView) -> tuple:
+        return (-run.rank, run.ready_seq, run.index)
 
 
 class ShortestRemainingWorkScheduler(StageScheduler):
@@ -87,10 +116,9 @@ class ShortestRemainingWorkScheduler(StageScheduler):
 
     name = "shortest_remaining_work"
 
-    def select(self, ready: Sequence[StageRunView]) -> StageRunView:
-        return min(
-            ready, key=lambda run: (run.remaining_work(), run.ready_seq, run.index)
-        )
+    @staticmethod
+    def key(run: StageRunView) -> tuple:
+        return (run.remaining_work(), run.ready_seq, run.index)
 
 
 class WidestFirstScheduler(StageScheduler):
@@ -98,10 +126,9 @@ class WidestFirstScheduler(StageScheduler):
 
     name = "widest_first"
 
-    def select(self, ready: Sequence[StageRunView]) -> StageRunView:
-        return min(
-            ready, key=lambda run: (-run.pending_tasks, run.ready_seq, run.index)
-        )
+    @staticmethod
+    def key(run: StageRunView) -> tuple:
+        return (-run.pending_tasks, run.ready_seq, run.index)
 
 
 #: Scheduler names accepted by :func:`make_stage_scheduler` (and the CLI).

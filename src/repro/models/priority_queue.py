@@ -20,8 +20,9 @@ mean/tail response times of each class move as the drop ratio changes?
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -141,8 +142,8 @@ class PriorityQueueModel:
         warmup = horizon * warmup_fraction
         samples: Dict[int, List[float]] = {p: [] for p in self.classes}
 
-        # Queue state: one FIFO list per priority; the in-service job.
-        queues: Dict[int, List[dict]] = {p: [] for p in self.classes}
+        # Queue state: one FIFO deque per priority; the in-service job.
+        queues: Dict[int, Deque[dict]] = {p: deque() for p in self.classes}
         in_service: Optional[dict] = None
         service_end = 0.0
         now = 0.0
@@ -154,7 +155,7 @@ class PriorityQueueModel:
         def pick_next() -> Optional[dict]:
             for priority in sorted(queues, reverse=True):
                 if queues[priority]:
-                    return queues[priority].pop(0)
+                    return queues[priority].popleft()
             return None
 
         while index < len(arrivals) or in_service is not None or any(queues.values()):
@@ -185,7 +186,7 @@ class PriorityQueueModel:
                         in_service["remaining"] = service_end - now
                     else:
                         in_service["remaining"] = in_service["original"]
-                    queues[in_service["priority"]].insert(0, in_service)
+                    queues[in_service["priority"]].appendleft(in_service)
                     in_service = job
                     service_end = now + job["remaining"]
                 else:

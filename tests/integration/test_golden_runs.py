@@ -50,6 +50,16 @@ CLI_RUNS: Dict[str, list] = {
         "--seed", "3", "--telemetry-interval", "20",
         "--telemetry", "{telemetry}", "--trace", "{trace}",
     ],
+    "dag-srw-traced-sampled": [
+        "dag", "--scheduler", "shortest_remaining_work", "--num-jobs", "40",
+        "--seed", "8", "--telemetry-interval", "20",
+        "--telemetry", "{telemetry}", "--trace", "{trace}",
+    ],
+    "dag-widest-traced-sampled": [
+        "dag", "--scheduler", "widest_first", "--num-jobs", "40",
+        "--seed", "9", "--telemetry-interval", "20",
+        "--telemetry", "{telemetry}", "--trace", "{trace}",
+    ],
     "dag-slack-faults": [
         "dag", "--slack-biased", "--num-jobs", "40", "--seed", "4",
         "--faults", _DAG_FAULTS, "--telemetry-interval", "20",
@@ -204,9 +214,12 @@ API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "dias-sprinting-api": _dias_sprinting,
 }
 
-#: Digests recorded before the DAG controller became a DiAS subclass.
+#: Digests recorded before the DAG controller became a DiAS subclass; the
+#: ``dag-srw`` and ``dag-widest`` runs before the stage schedulers got sort keys.
 GOLDEN: Dict[str, str] = {
     "dag-cpfirst-traced-sampled": "4a266be1d8140b26a5a428fb8ae69cb123073fab14be091e8aba0a8e180753b1",
+    "dag-srw-traced-sampled": "85d1e47f3789178268bc03a02cf5ef8e95202b6fc8e63b5d935743a3cab52be0",
+    "dag-widest-traced-sampled": "1a7355cd81c78b72345490ee347340961c378a136661d6f896d0b86cf92de0dd",
     "dag-slack-faults": "53c0ef9151afb0a9cb91e4ef558326cba2859ca3255bfd818af28da29e8524fb",
     "dag-P-restart": "84181cffdd5bc9c7a7ae8c7e1a0a6d94da6a2392c150d330e215325ea5d8ad7d",
     "compare-traced": "d690a37f2192fc7bd00e04695a91d868233322739e05b7bb016d25cc3c552cdc",
