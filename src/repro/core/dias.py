@@ -284,8 +284,6 @@ class DiASSimulation:
         self._queued_work = 0.0
         self._running_estimate = 0.0
         self._running_started_at = 0.0
-        # priority -> interned "depth_p{priority}" sample field name.
-        self._depth_keys: Dict[int, str] = {}
 
     # ---------------------------------------------------------- load queries
     @property
@@ -302,46 +300,57 @@ class DiASSimulation:
         """Read-only state snapshot published by periodic telemetry samplers.
 
         Must not mutate anything (notably: it reads the energy meter via
-        :meth:`~repro.engine.energy.EnergyMeter.snapshot`, never ``advance``)
-        so that sampled runs produce bit-identical results to unsampled ones.
+        :meth:`~repro.engine.energy.EnergyMeter.projected_joules`, never
+        ``advance``) so that sampled runs produce bit-identical results to
+        unsampled ones.
         """
-        # This runs once per sampler tick on every sampled run, so it avoids
-        # avoidable Python frames: one depth pass doubles as the total queue
-        # depth, :meth:`work_left` is inlined, field names are interned once
-        # per priority, and integer counters stay integers (the schema admits
-        # any number).  The literal is large enough that the dict is sized
-        # once for the fields added after it.
-        now = self.sim.now
-        running = self._running
-        busy = self.metrics.busy_time + self.metrics.wasted_time
-        if running is not None:
-            busy += max(0.0, now - self._running_started_at)
+        # This runs on every heap tick of every sampled run, so it spares
+        # Python frames: the buffers keep the per-priority depth fields
+        # current, and integer counters stay integers (the schema admits any
+        # number).  The clock fields start as placeholders so that they keep
+        # their place in the key order.
         meter = self.energy_meter
+        buffers = self.buffers
         sample: Dict[str, float] = {
-            "utilisation": (busy / now) if now > 0 else 0.0,
-            "queue_depth": 0,
-            "running": 1.0 if running is not None else 0.0,
+            "utilisation": 0.0,
+            "queue_depth": len(buffers),
+            "running": 1.0 if self._running is not None else 0.0,
             "completed_jobs": self._completed,
             "evictions": self._total_evictions,
-            "energy_joules": meter.projected_joules(now),
+            "energy_joules": 0.0,
             "power_mode": meter._mode,
         }
         if self.tracks_backlog:
-            work_left = self._queued_work
-            if running is not None:
-                work_left += max(
-                    0.0, self._running_estimate - (now - self._running_started_at)
-                )
-            sample["work_left"] = work_left
-        depth_keys = self._depth_keys
-        total_depth = 0
-        for priority, depth in self.buffers.depth_rows():
-            total_depth += depth
-            key = depth_keys.get(priority)
-            if key is None:
-                key = depth_keys[priority] = f"depth_p{priority}"
-            sample[key] = depth
-        sample["queue_depth"] = total_depth
+            sample["work_left"] = 0.0
+        sample.update(buffers.depth_row)
+        return self._clock_fields(sample, self.sim.now)
+
+    def telemetry_derive(self, previous: Dict[str, float], now: float) -> Dict[str, float]:
+        """:meth:`telemetry_sample` at ``now``, given the sample ``previous``.
+
+        Valid only while no event has fired since ``previous`` was taken (see
+        :class:`~repro.telemetry.sampler.PeriodicSampler`): only the fields
+        that move with the clock are recomputed.
+        """
+        return self._clock_fields(previous.copy(), now)
+
+    def _clock_fields(self, sample: Dict[str, float], now: float) -> Dict[str, float]:
+        """Fill the sample fields that move with the clock (one definition).
+
+        ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit (zeros and
+        NaN included) without a builtin call; this runs on every tick.
+        """
+        busy = self.metrics.occupied_time
+        if self._running is not None:
+            elapsed = now - self._running_started_at
+            busy += elapsed if elapsed > 0.0 else 0.0
+            if self.tracks_backlog:
+                left = self._running_estimate - elapsed
+                sample["work_left"] = self._queued_work + (left if left > 0.0 else 0.0)
+        elif self.tracks_backlog:
+            sample["work_left"] = self._queued_work
+        sample["utilisation"] = (busy / now) if now > 0 else 0.0
+        sample["energy_joules"] = self.energy_meter.projected_joules(now)
         return sample
 
     def work_left(self) -> float:
@@ -412,13 +421,14 @@ class DiASSimulation:
                 **self._run_start_fields(),
             )
             if telemetry.sample_interval is not None:
+                kernel = kernel_sample_source(self.sim)
                 self._sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
                     telemetry.sample_interval,
                     sources=[
-                        (self.telemetry_src, self.telemetry_sample),
-                        ("kernel", kernel_sample_source(self.sim)),
+                        (self.telemetry_src, self.telemetry_sample, self.telemetry_derive),
+                        ("kernel", kernel, kernel.derive),
                     ],
                     should_continue=lambda: self._completed < self._drain_target,
                 )

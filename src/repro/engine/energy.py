@@ -54,13 +54,16 @@ class EnergyMeter:
     The meter is driven by the controller: every time the operating mode
     changes (job starts, sprint begins/ends, job completes), the controller
     calls :meth:`set_mode` with the current simulation time.  The meter
-    charges the elapsed interval to the previous mode.
+    charges the elapsed interval to the previous mode.  The current mode's
+    wattage is looked up once per mode change (the power model is frozen),
+    not on every charge or projection.
     """
 
     def __init__(self, power_model: PowerModel, start_time: float = 0.0) -> None:
         self.power_model = power_model
         self.account = EnergyAccount()
         self._mode = "idle"
+        self._watts = power_model.power("idle")
         self._last_time = float(start_time)
 
     @property
@@ -74,6 +77,14 @@ class EnergyMeter:
         if mode not in ("idle", "busy", "sprint"):
             raise ValueError(f"unknown power mode {mode!r}")
         self._mode = mode
+        self._watts = self.power_model.power(mode)
+
+    def restore(self, account: EnergyAccount, mode: str, last_time: float) -> None:
+        """Reinstate the state :mod:`repro.faults.checkpoint` saved."""
+        self.account = account
+        self._mode = mode
+        self._watts = self.power_model.power(mode)
+        self._last_time = last_time
 
     def advance(self, now: float) -> None:
         """Charge the interval since the last update to the current mode."""
@@ -83,7 +94,7 @@ class EnergyMeter:
             )
         duration = now - self._last_time
         if duration > 0:
-            joules = duration * self.power_model.power(self._mode)
+            joules = duration * self._watts
             self.account.add(self._mode, joules)
         self._last_time = now
 
@@ -108,7 +119,9 @@ class EnergyMeter:
         telemetry samplers can fill their event dict directly instead of
         paying an intermediate dict + update per sample.
         """
-        pending = max(0.0, now - self._last_time) * self.power_model.power(self._mode)
+        elapsed = now - self._last_time
+        # ``max(0.0, elapsed)`` bit for bit, without a builtin call.
+        pending = (elapsed if elapsed > 0.0 else 0.0) * self._watts
         return self.account.total_joules + pending
 
     @property

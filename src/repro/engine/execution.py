@@ -98,14 +98,13 @@ def build_phases(
     return phases
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveTask:
     """Book-keeping for one in-flight task on one slot.
 
-    ``scheduled_at`` is reset on every DVFS reschedule (it anchors the
-    remaining-work computation); ``started_at`` keeps the task's original
-    dispatch time across speed changes for span tracing, and ``span_id`` is
-    the task's pre-allocated trace span (0 when tracing is off).
+    ``started_at`` keeps the task's original dispatch time across DVFS
+    reschedules for span tracing, and ``span_id`` is the task's
+    pre-allocated trace span (0 when tracing is off).
 
     The remaining fields only carry information under fault injection:
     ``base`` is the task's nominal duration (before straggler slowdown, the
@@ -119,7 +118,6 @@ class _ActiveTask:
     slot: int
     event: Event
     speed: float
-    scheduled_at: float
     started_at: float = 0.0
     span_id: int = 0
     base: float = 0.0
@@ -170,9 +168,16 @@ class JobExecution:
         self._phase_span: Optional[tuple] = None
 
         self._phase_index = -1
+        #: The current phase's pending task durations, last-first: the next
+        #: task to dispatch is ``pop()``, and a re-queued task goes to index 0.
         self._pending: List[float] = []
+        self._parallel = True
         self._active: Dict[int, _ActiveTask] = {}
         self._free_slots: List[int] = []
+        #: slot -> its task-completion callback, built on the slot's first
+        #: task and cleared at finish and evict, which breaks the
+        #: execution -> callback -> execution cycle.
+        self._task_callbacks: Dict[int, Callable[[Simulator], None]] = {}
 
         self.started = False
         self.completed = False
@@ -245,10 +250,9 @@ class JobExecution:
             # Mutate in place so fault bookkeeping (attempt, pending
             # speculation check, copy links) survives DVFS transitions.
             active.event = self.sim.schedule(
-                remaining_work / speed, self._make_task_callback(slot), priority=1
+                remaining_work / speed, self._task_callback(slot), priority=1
             )
             active.speed = speed
-            active.scheduled_at = now
 
     def evict(self) -> float:
         """Cancel all in-flight work; returns the wasted wall time of the attempt."""
@@ -268,6 +272,7 @@ class JobExecution:
                 active.spec_event.cancel()
         self._active.clear()
         self._pending.clear()
+        self._task_callbacks.clear()
         if self._retries:
             for event, _base, _attempt in self._retries.values():
                 event.cancel()
@@ -346,7 +351,8 @@ class JobExecution:
             return
         if self.telemetry.tracing:
             self._phase_span = (self.telemetry.new_span_id(), self.sim.now)
-        self._pending = list(phase.durations)
+        self._pending = phase.durations[::-1]
+        self._parallel = phase.parallel
         self._free_slots = (
             list(range(self.cluster.slots))
             if self._faults is None
@@ -360,21 +366,19 @@ class JobExecution:
         if not self._pending or not self._free_slots:
             return
         slot = self._free_slots.pop()
-        duration = self._pending.pop(0)
+        duration = self._pending.pop()
         if self._faults is not None:
             self._start_task(slot, duration, attempt=1)
             return
         now = self.sim.now
-        event = self.sim.schedule(
-            duration / self._speed, self._make_task_callback(slot), priority=1
-        )
         self._active[slot] = _ActiveTask(
-            slot=slot,
-            event=event,
-            speed=self._speed,
-            scheduled_at=now,
-            started_at=now,
-            span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
+            slot,
+            self.sim.schedule(
+                duration / self._speed, self._task_callback(slot), priority=1
+            ),
+            self._speed,
+            now,
+            self.telemetry.new_span_id() if self.telemetry.tracing else 0,
         )
 
     # ------------------------------------------------------ fault machinery
@@ -385,13 +389,12 @@ class JobExecution:
         slowdown = faults.draw_slowdown()
         will_fail = faults.draw_task_failure()
         event = self.sim.schedule(
-            base * slowdown / self._speed, self._make_task_callback(slot), priority=1
+            base * slowdown / self._speed, self._task_callback(slot), priority=1
         )
         active = _ActiveTask(
             slot=slot,
             event=event,
             speed=self._speed,
-            scheduled_at=now,
             started_at=now,
             span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
             base=base,
@@ -439,13 +442,12 @@ class JobExecution:
         copy_slot = self._free_slots.pop()
         now = self.sim.now
         event = self.sim.schedule(
-            active.base / self._speed, self._make_task_callback(copy_slot), priority=1
+            active.base / self._speed, self._task_callback(copy_slot), priority=1
         )
         self._active[copy_slot] = _ActiveTask(
             slot=copy_slot,
             event=event,
             speed=self._speed,
-            scheduled_at=now,
             started_at=now,
             span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
             base=active.base,
@@ -466,34 +468,61 @@ class JobExecution:
         if self.telemetry.tracing:
             self._emit_fault_span("speculate", slot=slot)
 
+    def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        """The completion callback of ``slot``, built on first use."""
+        callback = self._task_callbacks.get(slot)
+        if callback is None:
+            callback = self._task_callbacks[slot] = self._make_task_callback(slot)
+        return callback
+
     def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            self._on_task_done(slot)
+        if self._faults is not None:
+            def _on_fault_path(_sim: Simulator) -> None:
+                self._on_task_done(slot)
+
+            return _on_fault_path
+
+        active_tasks = self._active
+        callbacks = self._task_callbacks
+        telemetry = self.telemetry
+
+        def _callback(sim: Simulator) -> None:
+            # The one no-fault completion path.  A freed slot that the phase
+            # can still use takes the next pending task at once instead of
+            # round-tripping through ``_free_slots``.  The callback looks
+            # itself up in ``callbacks``: closing over itself would make a
+            # cycle that clearing the dict does not break.
+            active = active_tasks.pop(slot, None)
+            if active is None:  # finished or evicted
+                return
+            if active.span_id:
+                self._emit_task_span(active)
+            pending = self._pending
+            if pending and (self._parallel or not active_tasks):
+                now = sim.now
+                speed = self._speed
+                active_tasks[slot] = _ActiveTask(
+                    slot,
+                    sim.schedule(pending.pop() / speed, callbacks[slot], priority=1),
+                    speed,
+                    now,
+                    telemetry.new_span_id() if telemetry.tracing else 0,
+                )
+                return
+            self._free_slots.append(slot)
+            if not pending and not active_tasks:
+                self._advance_phase()
 
         return _callback
 
     def _on_task_done(self, slot: int) -> None:
+        """Completion under fault injection: retries and speculative copies."""
         if not self.running:
             return
         active = self._active.pop(slot, None)
-        if self._faults is not None:
-            if active is not None:
-                self._on_task_done_faults(active)
+        if active is None:
             return
-        if active is not None and active.span_id:
-            self._emit_task_span(active)
-        self._free_slots.append(slot)
-        phase = self.current_phase
-        if self._pending and (phase is None or phase.parallel or not self._active):
-            self._dispatch_next_task()
-            return
-        if not self._pending and not self._active:
-            self._advance_phase()
-
-    def _on_task_done_faults(self, active: _ActiveTask) -> None:
-        """Completion handling under fault injection: retries and copies."""
         faults = self._faults
-        slot = active.slot
         if active.spec_event is not None:
             active.spec_event.cancel()
             active.spec_event = None
@@ -542,7 +571,7 @@ class JobExecution:
             if self._on_give_up is not None:
                 self._on_give_up(self)
                 return
-            self._pending.append(active.base)
+            self._pending.insert(0, active.base)
             self._release_slot(slot)
             return
         # Success.  First finisher of a primary/copy pair wins; the loser is
@@ -633,11 +662,11 @@ class JobExecution:
                 elif active.copy_slot >= 0 and active.copy_slot in self._active:
                     self._active[active.copy_slot].copy_of = -1
                 else:
-                    self._pending.append(active.base)
+                    self._pending.insert(0, active.base)
             entry = self._retries.pop(slot, None)
             if entry is not None:
                 entry[0].cancel()
-                self._pending.append(entry[1])
+                self._pending.insert(0, entry[1])
             try:
                 self._free_slots.remove(slot)
             except ValueError:
@@ -662,4 +691,5 @@ class JobExecution:
         self._accumulate_sprint(now)
         self.completed = True
         self.completion_time = now
+        self._task_callbacks.clear()
         self.on_complete(self)

@@ -100,10 +100,10 @@ def restore_controller(controller, state: Dict[str, Any]) -> None:
     controller._job_state = dict(state["job_state"])
     controller._service_estimates = dict(state["service_estimates"])
     controller._queued_work = state["queued_work"]
-    meter = controller.energy_meter
-    meter.account = state["energy"]["account"]
-    meter._mode = state["energy"]["mode"]
-    meter._last_time = state["energy"]["last_time"]
+    energy = state["energy"]
+    controller.energy_meter.restore(
+        energy["account"], energy["mode"], energy["last_time"]
+    )
     sprint_state = state["sprinter"]
     if sprint_state is not None and controller.sprinter is not None:
         sprinter = controller.sprinter

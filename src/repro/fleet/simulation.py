@@ -261,10 +261,12 @@ class FleetSimulation:
             )
             if telemetry.sample_interval is not None:
                 sources = [
-                    (c.telemetry_src, c.telemetry_sample) for c in self.controllers
+                    (c.telemetry_src, c.telemetry_sample, c.telemetry_derive)
+                    for c in self.controllers
                 ]
-                sources.append(("fleet", self._telemetry_sample))
-                sources.append(("kernel", kernel_sample_source(self.sim)))
+                sources.append(("fleet", self._telemetry_sample, self._telemetry_derive))
+                kernel = kernel_sample_source(self.sim)
+                sources.append(("kernel", kernel, kernel.derive))
                 sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
@@ -442,6 +444,12 @@ class FleetSimulation:
                 / self.num_clusters
             ),
         }
+
+    def _telemetry_derive(self, previous: dict, now: float) -> dict:
+        """The fleet sample at ``now`` with no event since ``previous``."""
+        sample = previous.copy()
+        sample["work_left"] = sum(c.work_left() for c in self.controllers)
+        return sample
 
     # ---------------------------------------------------------------- events
     def _make_routing_callback(self, job: Job):

@@ -40,6 +40,11 @@ Design notes
   ``(time, priority, seq)`` is a strict total order, re-heapifying the
   survivors pops them in exactly the same order as lazy skipping would have —
   compaction is invisible to the simulation.
+* **Virtual events.**  :meth:`Simulator.try_virtual_event` lets a caller
+  account an event that would be the very next one popped without touching
+  the heap: the clock and sequence counter move exactly as a schedule plus
+  pop would move them.  The periodic telemetry sampler uses it to emit the
+  ticks that fall in a gap between two heap entries.
 * The kernel knows nothing about jobs, priorities or energy; it only runs
   callbacks at simulated times.  :class:`ArrivalPump` is the one helper that
   sits on top: it feeds a lazy, arrival-ordered source (anything whose items
@@ -49,6 +54,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
@@ -150,6 +156,7 @@ class Simulator:
         "_compactions",
         "_compaction_threshold",
         "_compaction_watermark",
+        "_horizon",
         "telemetry",
     )
 
@@ -176,6 +183,8 @@ class Simulator:
         self._compactions = 0
         self._compaction_threshold = int(compaction_threshold or 0)
         self._compaction_watermark = _MIN_COMPACTION_WATERMARK
+        # Latest time a virtual event may take; -inf outside :meth:`run`.
+        self._horizon = -math.inf
 
     # ------------------------------------------------------------------ time
     @property
@@ -260,6 +269,29 @@ class Simulator:
             self._maybe_compact()
         return event
 
+    def try_virtual_event(self, time: float, priority: int) -> bool:
+        """Account an event at ``(time, priority)`` without touching the heap.
+
+        Succeeds only inside :meth:`run` and only if such an event would be
+        the next one popped: it sorts before the heap's top entry (cancelled
+        or not), is not past the run's ``until``, and the run has no
+        ``max_events`` budget and no pending :meth:`stop`.  The clock and the
+        sequence counter then move exactly as scheduling the event now and
+        popping it would move them, so every counter (processed, scheduled,
+        pending) reads the same.  Otherwise nothing changes and it returns
+        False.
+        """
+        if time > self._horizon or self._stopped:
+            return False
+        heap = self._heap
+        if heap:
+            top = heap[0]
+            if top[0] < time or (top[0] == time and top[1] <= priority):
+                return False
+        self._seq += 1
+        self._now = time
+        return True
+
     # -------------------------------------------------------------- execution
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` if empty."""
@@ -286,7 +318,7 @@ class Simulator:
         Returns the simulation time at which the run stopped.  The same loops
         serve telemetry-off and telemetry-on runs: executed-event counts are
         derived (see :attr:`processed_events`), so sampling needs no
-        per-event bookkeeping in here.
+        per-event bookkeeping in here, and virtual events count too.
         """
         telemetry = self.telemetry
         span_id = (
@@ -295,8 +327,11 @@ class Simulator:
             else 0
         )
         started_at = self._now
+        processed_before = self.processed_events if span_id else 0
         self._running = True
         self._stopped = False
+        if max_events is None:
+            self._horizon = math.inf if until is None else until
         executed = 0
         # Hot loop: drive the heap directly with local bindings.  ``heap`` may
         # be mutated by callbacks (scheduling and compaction both operate on
@@ -314,7 +349,6 @@ class Simulator:
                         self._cancel_pops += 1
                         continue
                     self._now = event.time
-                    executed += 1
                     event.callback(self)
             elif until is None:
                 # Bounded-count loop: no deadline, so events can be popped
@@ -351,6 +385,7 @@ class Simulator:
                     event.callback(self)
         finally:
             self._running = False
+            self._horizon = -math.inf
         if until is not None and self._now < until and not heap:
             self._now = until
         if span_id:
@@ -366,7 +401,7 @@ class Simulator:
                 cat="kernel",
                 start=started_at,
                 job_id=-1,
-                events=executed,
+                events=self.processed_events - processed_before,
             )
         return self._now
 

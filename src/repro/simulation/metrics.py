@@ -491,14 +491,10 @@ class MetricsCollector:
         return self._job_count
 
     @property
-    def busy_time(self) -> float:
-        """Productive engine busy time accounted so far (telemetry samplers)."""
-        return self._busy_time
-
-    @property
-    def wasted_time(self) -> float:
-        """Machine time lost to evictions so far (telemetry samplers)."""
-        return self._wasted_time
+    def occupied_time(self) -> float:
+        """Engine time accounted so far: productive busy time plus the time
+        lost to evictions (telemetry samplers)."""
+        return self._busy_time + self._wasted_time
 
     @property
     def tracked_quantiles(self) -> Tuple[float, ...]:

@@ -2,18 +2,37 @@
 
 A :class:`PeriodicSampler` snapshots one or more *sources* every ``interval``
 simulated seconds and publishes each snapshot as a ``sample`` event.  Sources
-are ``(src_label, callable)`` pairs whose callable returns a flat dict of
-numeric fields; the built-in :func:`kernel_sample_source` exposes the DES
+are ``(src_label, sample)`` or ``(src_label, sample, derive)`` tuples:
+``sample()`` returns a fresh flat dict of numeric fields, and the optional
+``derive(previous, t)`` returns the sample at time ``t`` given the source's
+previous event, on the promise that no event has fired in between (see gap
+batching below).  The built-in :func:`kernel_sample_source` exposes the DES
 kernel's counters (processed/pending/scheduled events, heap compactions and
-the event rate per simulated second).
+the event rate per simulated second) and carries its derive form as
+``.derive``.
 
-Two properties matter for correctness:
+These properties matter for correctness:
 
 * **Read-only sampling.**  Source callables must only *read* simulation
-  state.  The sampler's own events interleave with the run's events (they
+  state.  The sampler's own ticks interleave with the run's events (they
   consume kernel sequence numbers), but because the callbacks never mutate
   engine or controller state and draw no randomness, simulation results with
   sampling enabled are identical to results without it.
+* **Gap batching.**  The cost of sampling should follow state changes, not
+  ticks.  When a tick fires, every later tick that sorts strictly before the
+  heap's top entry (and is not past the run's ``until``) would see frozen
+  state, so the sampler emits those ticks in a loop right away, with no heap
+  push or pop.  Each such tick is a *virtual* kernel event
+  (:meth:`~repro.simulation.des.Simulator.try_virtual_event`): the kernel
+  moves its clock and sequence counter exactly as a heap tick would, so
+  ``processed_events``, ``scheduled_events`` and ``pending_events`` read the
+  same as without batching, and so does everything that consumes sequence
+  numbers later.  A virtual tick asks each source for its derive form, which
+  recomputes only the fields that move with the clock (the controller's
+  ``utilisation``, ``energy_joules`` and ``work_left``; the kernel's
+  processed/scheduled counts, one more each, and its event rate) with the
+  same float expressions as a full sample; a source without one is sampled
+  in full.  Sample streams are therefore byte-identical to unbatched ones.
 * **Termination.**  A self-rescheduling event would keep a run-to-exhaustion
   kernel alive forever, so the sampler consults ``should_continue()`` after
   every tick and stops rescheduling once it returns False (typically "all
@@ -33,7 +52,7 @@ Two properties matter for correctness:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.telemetry.hub import TelemetryHub
 
@@ -45,7 +64,8 @@ if TYPE_CHECKING:  # imported lazily: the kernel itself imports this package
 #: *after* all state changes scheduled at T.
 SAMPLE_PRIORITY = 9
 
-SampleSource = Tuple[str, Callable[[], Dict[str, float]]]
+#: ``(src, sample)`` or ``(src, sample, derive)``; see the module docstring.
+SampleSource = Tuple[Any, ...]
 
 
 def kernel_sample_source(sim: Simulator) -> Callable[[], Dict[str, float]]:
@@ -53,29 +73,51 @@ def kernel_sample_source(sim: Simulator) -> Callable[[], Dict[str, float]]:
 
     The event rate is computed per *simulated* second (events processed since
     the previous sample over simulated time elapsed) so that samples stay
-    free of wall-clock quantities and therefore deterministic.
+    free of wall-clock quantities and therefore deterministic.  The returned
+    callable's ``derive`` attribute is its derive form; both share the rate
+    state.
     """
-    state = {"time": sim.now, "processed": sim.processed_events}
+    last_time = sim.now
+    last_processed = sim.processed_events
 
     def sample() -> Dict[str, float]:
         # Reads the kernel's private counters directly: each public property
-        # is a Python frame, and this closure runs twice per sampler tick on
+        # is a Python frame, and this closure runs on every heap tick of
         # every sampled run — the properties remain the supported interface
         # everywhere latency does not matter.
-        now = sim.now
-        processed = sim.processed_events
-        elapsed = now - state["time"]
-        delta = processed - state["processed"]
-        state["time"] = now
-        state["processed"] = processed
+        nonlocal last_time, last_processed
+        now = sim._now
+        heap_size = len(sim._heap)
+        seq = sim._seq
+        processed = seq - heap_size - sim._cancel_pops - sim._compaction_losses
+        elapsed = now - last_time
+        delta = processed - last_processed
+        last_time = now
+        last_processed = processed
         return {
             "processed_events": processed,
-            "pending_events": len(sim._heap),
-            "scheduled_events": sim._seq,
+            "pending_events": heap_size,
+            "scheduled_events": seq,
             "heap_compactions": sim._compactions,
             "events_per_simsec": (delta / elapsed) if elapsed > 0 else 0.0,
         }
 
+    def derive(previous: Dict[str, float], now: float) -> Dict[str, float]:
+        # One virtual tick since ``previous``: one more event scheduled and
+        # processed, nothing else moved.
+        nonlocal last_time, last_processed
+        processed = previous["processed_events"] + 1
+        elapsed = now - last_time
+        delta = processed - last_processed
+        last_time = now
+        last_processed = processed
+        event = previous.copy()
+        event["processed_events"] = processed
+        event["scheduled_events"] = previous["scheduled_events"] + 1
+        event["events_per_simsec"] = (delta / elapsed) if elapsed > 0 else 0.0
+        return event
+
+    sample.derive = derive  # type: ignore[attr-defined]
     return sample
 
 
@@ -97,7 +139,11 @@ class PeriodicSampler:
         self.sim = sim
         self.hub = hub
         self.interval = float(interval)
-        self.sources = list(sources)
+        #: ``(src, sample, derive or None)`` per source.
+        self.sources = [
+            (source[0], source[1], source[2] if len(source) > 2 else None)
+            for source in sources
+        ]
         self.should_continue = should_continue
         self.samples_taken = 0
         self._started = False
@@ -131,7 +177,7 @@ class PeriodicSampler:
     def _sample(self) -> None:
         now = self.sim.now
         emit_event = self.hub.emit_event
-        for src, fn in self.sources:
+        for src, fn, _derive in self.sources:
             # Sources return a fresh flat dict per call; fill in the base
             # fields and hand it straight to the hub instead of paying a
             # kwargs copy per sample (samples dominate telemetry streams).
@@ -146,26 +192,49 @@ class PeriodicSampler:
         self._pending = None
         if self._stopped:
             return
-        # The sampling loop is inlined (rather than calling :meth:`_sample`)
-        # because ticks fire for the whole run on every sampled simulation —
-        # one saved Python frame per tick is measurable in the telemetry
-        # overhead benchmark.
+        # A heap tick takes a full sample, then emits the ticks of the gap
+        # up to the next heap entry as virtual events from derive forms.
+        # The loop is inlined rather than split into helpers: ticks fire for
+        # the whole run on every sampled simulation, and each saved Python
+        # frame is measurable in the telemetry overhead benchmark.
         now = sim.now
         emit_event = self.hub.emit_event
-        for src, fn in self.sources:
+        sources = self.sources
+        previous = []
+        for src, fn, _derive in sources:
             event = fn()
             event["t"] = now
             event["kind"] = "sample"
             event["src"] = src
             emit_event(event)
+            previous.append(event)
         self.samples_taken += 1
-        if self.should_continue is not None:
-            alive = self.should_continue()
-        else:
+        should_continue = self.should_continue
+        interval = self.interval
+        while (
+            should_continue()
+            if should_continue is not None
             # The tick itself was already popped, so any remaining entry is
             # other work (possibly cancelled; see module docstring).
-            alive = sim.pending_events > 0
-        if alive:
-            self._pending = sim.schedule(
-                self.interval, self._tick, priority=SAMPLE_PRIORITY
-            )
+            else sim.pending_events > 0
+        ):
+            now += interval
+            if not sim.try_virtual_event(now, SAMPLE_PRIORITY):
+                self._pending = sim.schedule(
+                    interval, self._tick, priority=SAMPLE_PRIORITY
+                )
+                return
+            for i, (src, fn, derive) in enumerate(sources):
+                if derive is None:
+                    event = fn()
+                    event["t"] = now
+                    event["kind"] = "sample"
+                    event["src"] = src
+                else:
+                    # A copy of the previous event: the base fields keep
+                    # their place in the key order.
+                    event = derive(previous[i], now)
+                    event["t"] = now
+                emit_event(event)
+                previous[i] = event
+            self.samples_taken += 1

@@ -97,3 +97,36 @@ def test_clear_empties_all_buffers():
     buffers.push(make_job(2, 1))
     buffers.clear()
     assert buffers.is_empty
+
+
+def _rebuilt_depth_row(buffers: PriorityBuffers) -> dict:
+    return {
+        f"depth_p{priority}": buffers.depth(priority)
+        for priority in reversed(buffers.priorities())
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_depth_row_stays_equal_to_a_rebuild(seed):
+    import random
+
+    rng = random.Random(seed)
+    buffers = PriorityBuffers(priorities=[0, 2])
+    assert buffers.depth_row == {"depth_p0": 0, "depth_p2": 0}
+    next_id = 0
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.45:
+            next_id += 1
+            # Priority 1 and 5 appear late: the row gains keys in order.
+            buffers.push(make_job(next_id, rng.choice([0, 1, 2, 5])))
+        elif roll < 0.6:
+            next_id += 1
+            buffers.push_front(make_job(next_id, rng.choice([0, 2, 3])))  # eviction
+        elif roll < 0.98:
+            buffers.pop_highest()
+        else:
+            buffers.clear()
+        assert buffers.depth_row == _rebuilt_depth_row(buffers)
+        assert list(buffers.depth_row) == list(_rebuilt_depth_row(buffers))
+        assert sum(buffers.depth_row.values()) == len(buffers)

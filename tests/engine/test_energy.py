@@ -70,3 +70,15 @@ def test_zero_length_interval_adds_no_energy():
     meter.set_mode("busy", 0.0)
     meter.set_mode("sprint", 0.0)
     assert meter.total_joules == 0.0
+
+
+def test_restore_charges_the_restored_mode():
+    source = EnergyMeter(PowerModel(active_servers=2))
+    source.set_mode("sprint", 0.0)
+    source.advance(10.0)
+    meter = EnergyMeter(PowerModel(active_servers=2))
+    meter.restore(source.account, "sprint", 10.0)
+    assert meter.mode == "sprint"
+    assert meter.projected_joules(12.0) == source.projected_joules(12.0) == 6.0 * 1080.0
+    meter.advance(12.0)
+    assert meter.account.sprint_joules == 12.0 * 540.0
