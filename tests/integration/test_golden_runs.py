@@ -42,6 +42,12 @@ _DAG_FAULTS = (
     "crash:mttf=3000,repair=60;stragglers:p=0.1,slowdown=3,speculate=1.5;"
     "taskfail:p=0.05,retries=2"
 )
+#: MapReduce fault path: speculative copies, task retries and crash requeues
+#: all occur (271, 190 and 197 events).
+_MAPREDUCE_FAULTS = (
+    "crash:mttf=400,repair=40;stragglers:p=0.1,slowdown=3,speculate=1.5;"
+    "taskfail:p=0.05,retries=2"
+)
 
 #: name -> CLI arguments; ``{telemetry}``/``{trace}`` become output paths.
 CLI_RUNS: Dict[str, list] = {
@@ -74,6 +80,11 @@ CLI_RUNS: Dict[str, list] = {
     "compare-traced": [
         "compare", "--scenario", "reference", "--policies", "P", "NP",
         "DA(0/20)", "--num-jobs", "40", "--seed", "2",
+        "--telemetry", "{telemetry}", "--trace", "{trace}",
+    ],
+    "compare-faults-traced": [
+        "compare", "--scenario", "reference", "--policies", "P", "DA(0/20)",
+        "--num-jobs", "40", "--seed", "6", "--faults", _MAPREDUCE_FAULTS,
         "--telemetry", "{telemetry}", "--trace", "{trace}",
     ],
     "fleet-jsq-sampled": [
@@ -215,7 +226,8 @@ API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
 }
 
 #: Digests recorded before the DAG controller became a DiAS subclass; the
-#: ``dag-srw`` and ``dag-widest`` runs before the stage schedulers got sort keys.
+#: ``dag-srw`` and ``dag-widest`` runs before the stage schedulers got sort keys;
+#: ``compare-faults-traced`` before the executions shared one lifecycle base.
 GOLDEN: Dict[str, str] = {
     "dag-cpfirst-traced-sampled": "4a266be1d8140b26a5a428fb8ae69cb123073fab14be091e8aba0a8e180753b1",
     "dag-srw-traced-sampled": "85d1e47f3789178268bc03a02cf5ef8e95202b6fc8e63b5d935743a3cab52be0",
@@ -223,6 +235,7 @@ GOLDEN: Dict[str, str] = {
     "dag-slack-faults": "53c0ef9151afb0a9cb91e4ef558326cba2859ca3255bfd818af28da29e8524fb",
     "dag-P-restart": "84181cffdd5bc9c7a7ae8c7e1a0a6d94da6a2392c150d330e215325ea5d8ad7d",
     "compare-traced": "d690a37f2192fc7bd00e04695a91d868233322739e05b7bb016d25cc3c552cdc",
+    "compare-faults-traced": "6000f0e0a33dd2aea1baa07a0a469acc0423d2747eb468262d123e1fb6440080",
     "fleet-jsq-sampled": "8db87773b43936f5e216a9d329a03e4cc0df7d1283e9e11cca8de7e79a3bebef",
     "fleet-least-work-left": "09eed86d3437807906d7c3caafac002eb33fff241513dc060987263554192f56",
     "dag-sprinting-api": "41455588e8eaa6b4b77a780178cf4a05f16cf134c2cf444bfe2aee88c489a842",
