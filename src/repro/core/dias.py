@@ -42,7 +42,7 @@ from repro.engine.cluster import Cluster
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec, parse_fault_spec
 from repro.engine.energy import EnergyMeter
-from repro.engine.execution import JobExecution, build_phases
+from repro.engine.execution import Execution, JobExecution, build_phases
 from repro.engine.job import Job
 from repro.models.accuracy import AccuracyModel
 from repro.simulation.des import Simulator
@@ -258,7 +258,7 @@ class DiASSimulation:
         #: time are already accounted for and must not be re-scheduled.
         self._resume_time: Optional[float] = None
 
-        self._running: Optional[JobExecution] = None
+        self._running: Optional[Execution] = None
         self._running_plan: Optional[DropPlan] = None
         # Per-job bookkeeping across (possibly multiple, if evicted) attempts.
         self._job_state: Dict[int, Dict[str, float]] = {}
@@ -493,7 +493,7 @@ class DiASSimulation:
     def _make_execution(
         self, job: Job, plan: DropPlan, map_drop: float, reduce_drop: float,
         trace_parent: int,
-    ) -> JobExecution:
+    ) -> Execution:
         """The execution that runs ``job``'s surviving tasks on the cluster."""
         phases = build_phases(
             job,
@@ -515,7 +515,7 @@ class DiASSimulation:
             on_give_up=self._on_task_exhausted if self.faults is not None else None,
         )
 
-    def _attempt_span_fields(self, execution: JobExecution) -> Dict[str, Any]:
+    def _attempt_span_fields(self, execution: Execution) -> Dict[str, Any]:
         """Extra fields of a closing ``attempt`` span (none for MapReduce)."""
         return {}
 
@@ -649,7 +649,7 @@ class DiASSimulation:
             )
         return attempt_id
 
-    def _trace_attempt_end(self, execution: JobExecution, outcome: str) -> None:
+    def _trace_attempt_end(self, execution: Execution, outcome: str) -> None:
         """Close the current attempt span; only called while tracing.
 
         :meth:`_attempt_span_fields` adds controller-specific fields (the DAG
@@ -722,7 +722,7 @@ class DiASSimulation:
         self._running = None
         self._running_plan = None
 
-    def _on_complete(self, execution: JobExecution) -> None:
+    def _on_complete(self, execution: Execution) -> None:
         if self.sprinter is not None:
             self.sprinter.on_job_end(execution)
         self.cluster.set_sprinting(False)
@@ -838,7 +838,7 @@ class DiASSimulation:
                 reason=reason,
             )
 
-    def _on_task_exhausted(self, execution: JobExecution) -> None:
+    def _on_task_exhausted(self, execution: Execution) -> None:
         """A task burned through its transient-failure retries: re-run the job."""
         self._fault_restart("retries_exhausted")
         self._dispatch_next()
@@ -858,7 +858,7 @@ class DiASSimulation:
             self._running.on_worker_repair(worker)
 
     # ------------------------------------------------------------- sprinting
-    def _on_sprint_start(self, execution: JobExecution) -> None:
+    def _on_sprint_start(self, execution: Execution) -> None:
         self.cluster.set_sprinting(True)
         if execution.running:
             execution.set_speed(self.cluster.speed)
@@ -877,7 +877,7 @@ class DiASSimulation:
                 state["sprint_id"] = self.telemetry.new_span_id()
                 state["sprint_start"] = self.sim.now
 
-    def _on_sprint_end(self, execution: JobExecution) -> None:
+    def _on_sprint_end(self, execution: Execution) -> None:
         self.cluster.set_sprinting(False)
         if execution.running:
             execution.set_speed(self.cluster.speed)
@@ -912,7 +912,7 @@ class DiASSimulation:
                     speed=self.cluster.dvfs.speedup(self.cluster.dvfs.sprint),
                 )
 
-    def _on_sprint_denied(self, execution: JobExecution) -> None:
+    def _on_sprint_denied(self, execution: Execution) -> None:
         if self.telemetry.tracing:
             state = self._trace.get(execution.job.job_id)
             if state is not None and "attempt_id" in state:

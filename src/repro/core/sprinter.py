@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from repro.core.config import SprintConfig
-from repro.engine.execution import JobExecution
+from repro.engine.execution import Execution
 from repro.simulation.des import Event, Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -59,12 +59,12 @@ class Sprinter:
         self,
         sim: Simulator,
         config: SprintConfig,
-        on_sprint_start: Callable[[JobExecution], None],
-        on_sprint_end: Callable[[JobExecution], None],
+        on_sprint_start: Callable[[Execution], None],
+        on_sprint_end: Callable[[Execution], None],
         budget_pool: Optional["SprintBudgetPool"] = None,
         telemetry: TelemetryHub = NULL_HUB,
         telemetry_src: str = "sprinter",
-        on_sprint_denied: Optional[Callable[[JobExecution], None]] = None,
+        on_sprint_denied: Optional[Callable[[Execution], None]] = None,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -81,7 +81,7 @@ class Sprinter:
         self._sprint_started_at: Optional[float] = None
         self._timer: Optional[Event] = None
         self._exhaust_event: Optional[Event] = None
-        self._current: Optional[JobExecution] = None
+        self._current: Optional[Execution] = None
         self.total_sprinted_seconds = 0.0
         self.sprints_started = 0
         self.sprints_denied = 0
@@ -115,7 +115,7 @@ class Sprinter:
         self._budget_updated_at = now
 
     # ---------------------------------------------------------------- hooks
-    def on_dispatch(self, execution: JobExecution) -> None:
+    def on_dispatch(self, execution: Execution) -> None:
         """A job was dispatched; arm its sprint timer if it is eligible."""
         priority = execution.job.priority
         if not self.config.sprints(priority):
@@ -129,7 +129,7 @@ class Sprinter:
                 timeout, self._make_timer_callback(execution), priority=2
             )
 
-    def on_job_end(self, execution: JobExecution) -> None:
+    def on_job_end(self, execution: Execution) -> None:
         """The job completed or was evicted; cancel timers, stop sprinting."""
         if self._timer is not None:
             self._timer.cancel()
@@ -140,7 +140,7 @@ class Sprinter:
             self._current = None
 
     # ------------------------------------------------------------ internals
-    def _make_timer_callback(self, execution: JobExecution):
+    def _make_timer_callback(self, execution: Execution):
         def _callback(_sim: Simulator) -> None:
             self._timer = None
             if execution.running:
@@ -148,7 +148,7 @@ class Sprinter:
 
         return _callback
 
-    def _try_start_sprint(self, execution: JobExecution) -> None:
+    def _try_start_sprint(self, execution: Execution) -> None:
         self._update_budget()
         if self._sprinting:
             return
@@ -187,7 +187,7 @@ class Sprinter:
                     time_to_exhaust, self._make_exhaust_callback(execution), priority=2
                 )
 
-    def _make_exhaust_callback(self, execution: JobExecution):
+    def _make_exhaust_callback(self, execution: Execution):
         def _callback(_sim: Simulator) -> None:
             self._exhaust_event = None
             if self._sprinting and self._current is execution:
@@ -200,7 +200,7 @@ class Sprinter:
         if self._sprinting and self._current is not None:
             self._stop_sprint(self._current)
 
-    def _stop_sprint(self, execution: JobExecution) -> None:
+    def _stop_sprint(self, execution: Execution) -> None:
         self._update_budget()
         self._sprinting = False
         sprinted = 0.0

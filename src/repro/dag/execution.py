@@ -9,18 +9,15 @@ computing slots.  Each time a slot frees up, the pluggable
 serves next, one task at a time.  Within a stage the usual Spark discipline
 holds: all map tasks, then the (serial) shuffle, then all reduce tasks.
 
-Like its linear counterpart, the execution supports the two dynamic
-operations DiAS needs — :meth:`DagExecution.set_speed` (cluster-wide DVFS
-rescales all in-flight tasks) and :meth:`DagExecution.evict` (preemptive
-eviction cancels everything and reports the wasted wall time) — so the DiAS
-controller machinery (sprinter, energy meter, preemptive baseline) drives DAG
-jobs unchanged.
+Like its linear counterpart, the execution inherits the attempt lifecycle
+of :class:`~repro.engine.execution.Execution` — DVFS rescaling, eviction and
+fault recovery — so the DiAS controller machinery (sprinter, energy meter,
+preemptive baseline) drives DAG jobs unchanged.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -33,9 +30,10 @@ from repro.dag.analytics import (
 from repro.dag.graph import DagJob, DagStage
 from repro.dag.schedulers import StageScheduler, make_stage_scheduler
 from repro.engine.cluster import Cluster
+from repro.engine.execution import Execution, _ActiveTask
 from repro.engine.job import effective_task_count
 from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
-from repro.simulation.des import Event, Simulator
+from repro.simulation.des import Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
 #: Sentinel slot key for the job-level setup task.
@@ -150,29 +148,7 @@ class StageRun:
                 return
 
 
-@dataclass(slots=True)
-class _ActiveTask:
-    """Book-keeping for one in-flight task on one slot.
-
-    ``started_at``/``span_id`` survive DVFS reschedules so task trace spans
-    keep their true dispatch time (``span_id`` is 0 while tracing is off).
-    ``base``/``attempt``/``will_fail`` only matter under fault injection:
-    the undilated task duration (for requeue/retry), the 1-based attempt
-    number, and whether this attempt was pre-drawn to fail at completion.
-    """
-
-    slot: int
-    event: Event
-    speed: float
-    stage_run: Optional[StageRun]
-    started_at: float = 0.0
-    span_id: int = 0
-    base: float = 0.0
-    attempt: int = 1
-    will_fail: bool = False
-
-
-class DagExecution:
+class DagExecution(Execution):
     """Executes one DAG job's stages on the cluster within the simulator.
 
     Parameters
@@ -223,21 +199,22 @@ class DagExecution:
         on_give_up: Optional[Callable[["DagExecution"], None]] = None,
         decision_hook: Optional[DecisionHook] = None,
     ) -> None:
-        self.sim = sim
-        self.cluster = cluster
-        self.job = job
-        self._faults = faults
-        self._on_give_up = on_give_up
+        super().__init__(
+            sim,
+            cluster,
+            job,
+            on_complete or (lambda execution: None),
+            telemetry,
+            telemetry_src,
+            trace_parent,
+            faults,
+            on_give_up,
+        )
         #: Optional external agent consulted at each stage decision; ``None``
         #: keeps the built-in scheduler path untouched (one check per pick).
         self._decision_hook = decision_hook
-        #: Tasks sitting out a retry backoff: slot -> (event, base, attempt, run).
-        self._retries: Dict[int, tuple] = {}
-        self.telemetry = telemetry
-        self.telemetry_src = telemetry_src
-        #: Enclosing attempt span id when tracing (0 otherwise): stage spans
-        #: attach to it, task spans to their stage span.
-        self.trace_parent = trace_parent
+        #: (span id, start) of the open setup span when tracing; stage spans
+        #: attach to the attempt span, task spans to their stage span.
         self._setup_span: Optional[tuple] = None
         self.scheduler = make_stage_scheduler(scheduler)
         #: Whether the frontier is kept in the scheduler's pick order, so a
@@ -246,7 +223,6 @@ class DagExecution:
         #: also the order the decision hook sees its candidates in.
         self._ordered = self.scheduler.static_key and decision_hook is None
         self._frontier_key = self.scheduler.key if self._ordered else _position
-        self.on_complete = on_complete or (lambda execution: None)
         self._setup_time = job.setup_time(
             map_drop_ratio if setup_drop_ratio is None else setup_drop_ratio
         )
@@ -286,24 +262,8 @@ class DagExecution:
         #: of it yields the same candidates in the same order as a scan of
         #: every stage.
         self._frontier: List[StageRun] = []
-        self._active: Dict[int, _ActiveTask] = {}
-        #: Completion callback per slot, built on the slot's first task and
-        #: reused after.  Each one refers back to this execution, so the dict
-        #: is cleared at finish and eviction to break the cycle.
-        self._task_callbacks: Dict[int, Callable[[Simulator], None]] = {}
-        self._free_slots: List[int] = []
         self._ready_counter = 0
         self._remaining_stages = len(self._runs)
-
-        self.started = False
-        self.completed = False
-        self.evicted = False
-        self.start_time: Optional[float] = None
-        self.completion_time: Optional[float] = None
-
-        self._speed = 1.0
-        self._speed_since: Optional[float] = None
-        self.sprinted_time = 0.0
 
     @staticmethod
     def _kept(
@@ -325,22 +285,6 @@ class DagExecution:
 
     # --------------------------------------------------------------- queries
     @property
-    def running(self) -> bool:
-        return self.started and not self.completed and not self.evicted
-
-    @property
-    def elapsed(self) -> float:
-        """Wall time of this attempt so far (or total, once completed)."""
-        if self.start_time is None:
-            return 0.0
-        end = self.completion_time if self.completion_time is not None else self.sim.now
-        return end - self.start_time
-
-    @property
-    def speed(self) -> float:
-        return self._speed
-
-    @property
     def makespan(self) -> Optional[float]:
         """Total wall time of the completed execution (``None`` before)."""
         return self.elapsed if self.completed else None
@@ -353,97 +297,13 @@ class DagExecution:
     def stage_run(self, index: int) -> StageRun:
         return self._runs[index]
 
-    # ---------------------------------------------------------------- control
-    def start(self, speed: Optional[float] = None) -> None:
-        """Begin executing the job at the current simulation time."""
-        if self.started:
-            raise RuntimeError("DAG execution already started")
-        self.started = True
-        self.start_time = self.sim.now
-        self._speed = float(speed) if speed is not None else self.cluster.speed
-        self._speed_since = self.sim.now
-        self._free_slots = (
-            list(range(self.cluster.slots))
-            if self._faults is None
-            else self.cluster.free_slot_ids()
-        )
-        if self._setup_time > 0:
-            if self.telemetry.tracing:
-                self._setup_span = (self.telemetry.new_span_id(), self.sim.now)
-            event = self.sim.schedule(
-                self._setup_time / self._speed, self._on_setup_done, priority=1
-            )
-            self._active[_SETUP_SLOT] = _ActiveTask(
-                slot=_SETUP_SLOT,
-                event=event,
-                speed=self._speed,
-                stage_run=None,
-                started_at=self.sim.now,
-            )
-        else:
-            self._activate_sources()
-
-    def set_speed(self, speed: float) -> None:
-        """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if not self.running:
-            self._speed = float(speed)
-            self._speed_since = self.sim.now
-            return
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        old_speed = self._speed
-        self._speed = float(speed)
-        self._speed_since = now
-        if old_speed == speed:
-            return
-        for slot, active in list(self._active.items()):
-            remaining_wall = max(0.0, active.event.time - now)
-            remaining_work = remaining_wall * active.speed
-            active.event.cancel()
-            if slot == _SETUP_SLOT:
-                new_event = self.sim.schedule(
-                    remaining_work / speed, self._on_setup_done, priority=1
-                )
-            else:
-                new_event = self.sim.schedule(
-                    remaining_work / speed, self._task_callback(slot), priority=1
-                )
-            # Mutate in place so fault fields (base/attempt/will_fail) survive.
-            active.event = new_event
-            active.speed = speed
-
-    def evict(self) -> float:
-        """Cancel all in-flight work; returns the wasted wall time of the attempt."""
-        if not self.running:
-            raise RuntimeError("cannot evict a DAG execution that is not running")
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        if self.telemetry.tracing:
-            for active in self._active.values():
-                if active.span_id and active.stage_run is not None:
-                    self._emit_task_span(active, outcome="evicted")
-            for run in sorted(self._frontier, key=_position):
-                if run.span_id:
-                    self._emit_stage_span(run, outcome="evicted")
-            if self._setup_span is not None:
-                self._emit_setup_span(outcome="evicted")
-        for active in self._active.values():
-            active.event.cancel()
-        self._active.clear()
-        for event, _base, _attempt, _run in self._retries.values():
-            event.cancel()
-        self._retries.clear()
-        self._task_callbacks.clear()
-        self.evicted = True
-        return now - (self.start_time if self.start_time is not None else now)
-
-    # -------------------------------------------------------------- internals
-    def _accumulate_sprint(self, now: float) -> None:
-        if self._speed_since is not None and self._speed > 1.0:
-            self.sprinted_time += now - self._speed_since
-        self._speed_since = now
+    # -------------------------------------------------------------- tracing
+    def _close_spans(self, outcome: str) -> None:
+        for run in sorted(self._frontier, key=_position):
+            if run.span_id:
+                self._emit_stage_span(run, outcome=outcome)
+        if self._setup_span is not None:
+            self._emit_setup_span(outcome=outcome)
 
     def _emit_setup_span(self, outcome: str = "completed") -> None:
         span_id, started = self._setup_span  # type: ignore[misc]
@@ -496,6 +356,22 @@ class DagExecution:
             stage=run.index if run is not None else -1,
             outcome=outcome,
         )
+
+    # ------------------------------------------------------------- stages
+    def _begin(self) -> None:
+        if self._setup_time > 0:
+            if self.telemetry.tracing:
+                self._setup_span = (self.telemetry.new_span_id(), self.sim.now)
+            self._active[_SETUP_SLOT] = _ActiveTask(
+                _SETUP_SLOT,
+                self.sim.schedule(
+                    self._setup_time / self._speed, self._on_setup_done, priority=1
+                ),
+                self._speed,
+                self.sim.now,
+            )
+        else:
+            self._activate_sources()
 
     def _on_setup_done(self, _sim: Simulator) -> None:
         if not self.running:
@@ -600,71 +476,17 @@ class DagExecution:
                 slot,
                 sim.schedule(duration / speed, callback, priority=1),
                 speed,
-                run,
                 now,
                 telemetry.new_span_id() if tracing else 0,
+                run,
             )
 
-    def _start_task(self, slot: int, run: StageRun, base: float, attempt: int) -> None:
-        """Dispatch one attempt of a task under fault injection.
-
-        Draw order is fixed (slowdown, then failure) so the fault streams
-        advance identically regardless of scheduling interleavings.
-        """
-        faults = self._faults
-        slowdown = faults.draw_slowdown()
-        will_fail = faults.draw_task_failure()
-        event = self.sim.schedule(
-            (base * slowdown) / self._speed, self._task_callback(slot), priority=1
-        )
-        self._active[slot] = _ActiveTask(
-            slot=slot,
-            event=event,
-            speed=self._speed,
-            stage_run=run,
-            started_at=self.sim.now,
-            span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-            base=base,
-            attempt=attempt,
-            will_fail=will_fail,
-        )
-        if slowdown > 1.0 and self.telemetry.enabled:
-            self.telemetry.emit(
-                "fault.straggler",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=self.job.job_id,
-                slot=slot,
-                slowdown=slowdown,
-            )
-
-    def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        """The completion callback of ``slot``, built on first use."""
-        callback = self._task_callbacks.get(slot)
-        if callback is None:
-            callback = self._task_callbacks[slot] = self._make_task_callback(slot)
-        return callback
-
-    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            self._on_task_done(slot)
-
-        return _callback
-
-    def _on_task_done(self, slot: int) -> None:
-        if not self.running:
-            return
-        active = self._active.pop(slot, None)
-        if active is None:
-            return
-        if self._faults is not None and active.will_fail:
-            self._on_task_failed(active)
-            return
+    # --------------------------------------------------------- completion
+    def _on_task_succeeded(self, active: _ActiveTask) -> None:
         if active.span_id:
             self._emit_task_span(active)
-        self._free_slots.append(slot)
         run = active.stage_run
-        if run is not None and run.task_finished():
+        if run.task_finished():
             self._frontier.remove(run)
             if run.span_id:
                 self._emit_stage_span(run)
@@ -674,128 +496,26 @@ class DagExecution:
                 child.unfinished_parents -= 1
                 if child.unfinished_parents == 0:
                     self._activate_stage(child)
+        # ``_release_slot`` inlined: this is the DAG core's per-task path.
+        self._free_slots.append(active.slot)
         if self._remaining_stages == 0 and not self._active and not self._retries:
             self._finish()
             return
         self._fill_slots()
 
-    # ----------------------------------------------------- failure machinery
-    def _on_task_failed(self, active: _ActiveTask) -> None:
-        """A pre-drawn transient failure surfaced at the task's end time."""
-        faults = self._faults
-        faults.note_task_failure()
-        slot, run = active.slot, active.stage_run
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "fault.task_fail",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=self.job.job_id,
-                slot=slot,
-                attempt=active.attempt,
-            )
-        if active.span_id:
-            self._emit_task_span(active, outcome="failed")
-        if active.attempt <= faults.max_retries:
-            delay = faults.retry_delay(active.attempt)
-            faults.note_retry()
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.retry",
-                    self.sim.now,
-                    src=self.telemetry_src,
-                    job_id=self.job.job_id,
-                    slot=slot,
-                    attempt=active.attempt + 1,
-                    delay=delay,
-                )
-            self._emit_fault_span("retry", slot)
-            event = self.sim.schedule(
-                delay, self._make_retry_callback(slot), priority=1
-            )
-            # The slot sits out the backoff: neither free nor active, and the
-            # stage's in-flight count stays up so it cannot advance phase.
-            self._retries[slot] = (event, active.base, active.attempt + 1, run)
-            return
-        if self._on_give_up is not None:
-            self._on_give_up(self)
-            return
-        # No controller hook: requeue the task and let the frontier retry it.
-        run.requeue(active.base)
+    def _release_slot(self, slot: int) -> None:
         self._free_slots.append(slot)
+        if self._remaining_stages == 0 and not self._active and not self._retries:
+            self._finish()
+            return
         self._fill_slots()
 
-    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            if not self.running:
-                return
-            entry = self._retries.pop(slot, None)
-            if entry is None:
-                return
-            _event, base, attempt, run = entry
-            # pop_task() already counted this task in-flight on the first
-            # attempt; re-dispatch directly without touching the stage state.
-            self._start_task(slot, run, base, attempt)
-
-        return _callback
-
-    def on_worker_crash(self, worker: int) -> None:
-        """Requeue every task the crashed worker was running or retrying."""
-        if not self.running:
-            return
-        self._emit_fault_span("crash", slot=-1)
-        dead = set(self.cluster.worker_slots(worker))
-        for slot in sorted(dead):
-            active = self._active.pop(slot, None)
-            if active is not None:
-                active.event.cancel()
-                if active.span_id:
-                    self._emit_task_span(active, outcome="crashed")
-                if active.stage_run is not None:
-                    active.stage_run.requeue(active.base)
-                continue
-            entry = self._retries.pop(slot, None)
-            if entry is not None:
-                event, base, _attempt, run = entry
-                event.cancel()
-                run.requeue(base)
-        self._free_slots = [s for s in self._free_slots if s not in dead]
+    def _refill(self) -> None:
         self._fill_slots()
 
-    def on_worker_repair(self, worker: int) -> None:
-        """Return the repaired worker's slots to the free pool."""
-        if not self.running:
-            return
-        for slot in self.cluster.worker_slots(worker):
-            if (
-                slot not in self._active
-                and slot not in self._retries
-                and slot not in self._free_slots
-            ):
-                self._free_slots.append(slot)
-        self._fill_slots()
+    def _requeue(self, base: float, stage_run: Optional[StageRun]) -> None:
+        # The stage's in-flight count drops and the task is pending again.
+        stage_run.requeue(base)
 
-    def _emit_fault_span(self, name: str, slot: int) -> None:
-        if not self.telemetry.tracing:
-            return
-        now = self.sim.now
-        self.telemetry.emit(
-            "span",
-            now,
-            src=self.telemetry_src,
-            span_id=self.telemetry.new_span_id(),
-            parent_id=self.trace_parent,
-            name=name,
-            cat="fault",
-            start=now,
-            job_id=self.job.job_id,
-            slot=slot,
-        )
-
-    def _finish(self) -> None:
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        self.completed = True
-        self.completion_time = now
-        self._task_callbacks.clear()
-        self.on_complete(self)
+    def _retry_attempt_field(self, attempt: int) -> int:
+        return attempt + 1

@@ -12,15 +12,16 @@ two cores each, HDFS storage).  This subpackage models that substrate:
 * :mod:`repro.engine.cluster` — the cluster (computing slots + DVFS state).
 * :mod:`repro.engine.dvfs` — the frequency/speedup model for sprinting.
 * :mod:`repro.engine.energy` — the power model and energy meter.
-* :mod:`repro.engine.execution` — wave-based execution of a job on the cluster
-  slots inside the discrete-event simulator, with mid-flight speed changes and
-  eviction support.
+* :mod:`repro.engine.execution` — the attempt lifecycle every execution
+  shares (mid-flight speed changes, eviction, fault recovery) and the
+  wave-based execution of a MapReduce job on the cluster slots inside the
+  discrete-event simulator.
 """
 
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.dvfs import DVFSModel, FrequencyLevel
 from repro.engine.energy import EnergyMeter, PowerModel
-from repro.engine.execution import JobExecution
+from repro.engine.execution import Execution, JobExecution
 from repro.engine.hdfs import BlockStore, Dataset
 from repro.engine.job import Job, JobFactory, StageSpec
 from repro.engine.profiles import JobClassProfile, TaskTimeModel
@@ -32,6 +33,7 @@ __all__ = [
     "FrequencyLevel",
     "EnergyMeter",
     "PowerModel",
+    "Execution",
     "JobExecution",
     "BlockStore",
     "Dataset",

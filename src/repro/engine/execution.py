@@ -1,30 +1,40 @@
-"""Wave-based execution of a job on the cluster inside the simulator.
+"""Execution of one job attempt on the cluster inside the simulator.
 
-A job executes as a sequence of *phases*: the setup (overhead) stage, then for
-each map/reduce stage pair the map tasks, the shuffle, and the reduce tasks.
-Task phases run their tasks on the cluster's ``C`` computing slots, which
-naturally produces the wave behaviour the paper's Section 4.2 models
-(``⌈tasks/slots⌉`` waves when task times are similar).
+:class:`Execution` is the attempt lifecycle every execution model shares.  It
+supports the two dynamic operations DiAS needs:
 
-The execution object supports the two dynamic operations DiAS needs:
-
-* :meth:`JobExecution.set_speed` — a cluster-wide DVFS change (sprint start or
+* :meth:`Execution.set_speed` — a cluster-wide DVFS change (sprint start or
   stop) rescales the completion times of all in-flight tasks.
-* :meth:`JobExecution.evict` — preemptive eviction cancels all in-flight work;
+* :meth:`Execution.evict` — preemptive eviction cancels all in-flight work;
   the wall-clock time burned by the attempt is returned so the simulator can
   account resource waste (the job restarts from scratch later, as in the
   paper's SIGKILL-based prototype).
+
+Under fault injection it also owns task-level recovery: the straggler and
+failure draws at dispatch, retries with capped exponential backoff, and the
+requeue of work lost to a worker crash.  Subclasses decide only which task a
+free slot runs next and how the attempt is traced.
+
+:class:`JobExecution` runs a MapReduce job as a sequence of *phases*: the
+setup (overhead) stage, then for each map/reduce stage pair the map tasks, the
+shuffle, and the reduce tasks.  Task phases run their tasks on the cluster's
+``C`` computing slots, which naturally produces the wave behaviour the paper's
+Section 4.2 models (``⌈tasks/slots⌉`` waves when task times are similar).
+:class:`~repro.dag.execution.DagExecution` runs a DAG job's stage frontier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.engine.job import Job, effective_task_count
 from repro.simulation.des import Event, Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
+
+if TYPE_CHECKING:
+    from repro.dag.execution import StageRun
 
 
 @dataclass
@@ -103,16 +113,19 @@ class _ActiveTask:
     """Book-keeping for one in-flight task on one slot.
 
     ``started_at`` keeps the task's original dispatch time across DVFS
-    reschedules for span tracing, and ``span_id`` is the task's
-    pre-allocated trace span (0 when tracing is off).
+    reschedules for span tracing, ``span_id`` is the task's pre-allocated
+    trace span (0 when tracing is off), and ``stage_run`` is the DAG stage the
+    task serves (``None`` for a MapReduce task and for a DAG job's setup).
 
     The remaining fields only carry information under fault injection:
     ``base`` is the task's nominal duration (before straggler slowdown, the
     amount re-queued if the hosting worker crashes), ``attempt`` counts
     executions of this task on this slot, ``will_fail`` marks a transient
     failure drawn at dispatch time, ``spec_event`` is the pending
-    speculation-check event of a straggling task, and ``copy_of`` /
-    ``copy_slot`` link a speculative copy to its straggling primary.
+    speculation-check event of a straggling task (cancelled with the task on
+    eviction or a crash), and ``copy_of`` / ``copy_slot`` link a speculative
+    copy to its straggling primary (the last three are only set by
+    :class:`JobExecution`).
     """
 
     slot: int
@@ -120,6 +133,7 @@ class _ActiveTask:
     speed: float
     started_at: float = 0.0
     span_id: int = 0
+    stage_run: Optional[StageRun] = None
     base: float = 0.0
     attempt: int = 1
     will_fail: bool = False
@@ -128,50 +142,46 @@ class _ActiveTask:
     copy_slot: int = -1
 
 
-class JobExecution:
-    """Executes one job's phases on the cluster within the simulator."""
+class Execution:
+    """One attempt of a job on the cluster: DVFS, eviction and fault recovery.
+
+    A subclass says which task a free slot runs next and how it traces, by
+    defining :meth:`_begin` (enter the first phase or stage), :meth:`_refill`
+    (fill the free slots), :meth:`_release_slot` (a slot is done with its
+    task), :meth:`_on_task_succeeded`, :meth:`_requeue` (a lost task goes
+    back to its queue), :meth:`_close_spans` (on eviction) and
+    :meth:`_emit_task_span`.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         cluster: Cluster,
-        job: Job,
-        phases: Sequence[ExecutionPhase],
-        on_complete: Callable[["JobExecution"], None],
-        telemetry: TelemetryHub = NULL_HUB,
-        telemetry_src: str = "",
-        trace_parent: int = 0,
-        faults=None,
-        on_give_up: Optional[Callable[["JobExecution"], None]] = None,
+        job,
+        on_complete: Callable[["Execution"], None],
+        telemetry: TelemetryHub,
+        telemetry_src: str,
+        trace_parent: int,
+        faults,
+        on_give_up: Optional[Callable[["Execution"], None]],
     ) -> None:
-        if not phases:
-            raise ValueError("a job execution needs at least one phase")
         self.sim = sim
         self.cluster = cluster
         self.job = job
-        self.phases = list(phases)
         self.on_complete = on_complete
         self.telemetry = telemetry
         self.telemetry_src = telemetry_src
+        #: Span id of the enclosing attempt span when tracing (0 otherwise).
+        self.trace_parent = trace_parent
         #: Optional :class:`~repro.faults.injector.FaultInjector`; ``None``
-        #: keeps every per-task code path on the historical fast branch.
+        #: keeps every per-task code path on the fast branch.
         self._faults = faults
         #: Called when a task exhausts its transient-failure retries; the
         #: controller escalates to a job-level re-execution.
         self._on_give_up = on_give_up
-        #: slot -> (backoff Event, nominal duration, next attempt) for tasks
-        #: waiting out a retry backoff (fault injection only).
+        #: slot -> (backoff Event, nominal duration, next attempt, stage run)
+        #: for tasks waiting out a retry backoff (fault injection only).
         self._retries: Dict[int, tuple] = {}
-        #: Span id of the enclosing attempt span when tracing (0 otherwise);
-        #: wave spans attach to it, task spans to their wave span.
-        self.trace_parent = trace_parent
-        self._phase_span: Optional[tuple] = None
-
-        self._phase_index = -1
-        #: The current phase's pending task durations, last-first: the next
-        #: task to dispatch is ``pop()``, and a re-queued task goes to index 0.
-        self._pending: List[float] = []
-        self._parallel = True
         self._active: Dict[int, _ActiveTask] = {}
         self._free_slots: List[int] = []
         #: slot -> its task-completion callback, built on the slot's first
@@ -203,12 +213,6 @@ class JobExecution:
         return end - self.start_time
 
     @property
-    def current_phase(self) -> Optional[ExecutionPhase]:
-        if 0 <= self._phase_index < len(self.phases):
-            return self.phases[self._phase_index]
-        return None
-
-    @property
     def speed(self) -> float:
         return self._speed
 
@@ -216,7 +220,7 @@ class JobExecution:
     def start(self, speed: Optional[float] = None) -> None:
         """Begin executing the job at the current simulation time."""
         if self.started:
-            raise RuntimeError("job execution already started")
+            raise RuntimeError("execution already started")
         self.started = True
         self.start_time = self.sim.now
         self._speed = float(speed) if speed is not None else self.cluster.speed
@@ -226,7 +230,7 @@ class JobExecution:
             if self._faults is None
             else self.cluster.free_slot_ids()
         )
-        self._advance_phase()
+        self._begin()
 
     def set_speed(self, speed: float) -> None:
         """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
@@ -243,48 +247,317 @@ class JobExecution:
         self._speed_since = now
         if old_speed == speed:
             return
-        for slot, active in list(self._active.items()):
+        for active in list(self._active.values()):
             remaining_wall = max(0.0, active.event.time - now)
             remaining_work = remaining_wall * active.speed
             active.event.cancel()
             # Mutate in place so fault bookkeeping (attempt, pending
             # speculation check, copy links) survives DVFS transitions.
             active.event = self.sim.schedule(
-                remaining_work / speed, self._task_callback(slot), priority=1
+                remaining_work / speed, active.event.callback, priority=1
             )
             active.speed = speed
 
     def evict(self) -> float:
         """Cancel all in-flight work; returns the wasted wall time of the attempt."""
         if not self.running:
-            raise RuntimeError("cannot evict a job execution that is not running")
+            raise RuntimeError("cannot evict an execution that is not running")
         now = self.sim.now
         self._accumulate_sprint(now)
         if self.telemetry.tracing:
             for active in self._active.values():
                 if active.span_id:
                     self._emit_task_span(active, outcome="evicted")
-            if self._phase_span is not None:
-                self._close_phase_span(outcome="evicted")
+            self._close_spans("evicted")
         for active in self._active.values():
             active.event.cancel()
             if active.spec_event is not None:
                 active.spec_event.cancel()
         self._active.clear()
-        self._pending.clear()
+        for event, _base, _attempt, _run in self._retries.values():
+            event.cancel()
+        self._retries.clear()
         self._task_callbacks.clear()
-        if self._retries:
-            for event, _base, _attempt in self._retries.values():
-                event.cancel()
-            self._retries.clear()
         self.evicted = True
         return now - (self.start_time if self.start_time is not None else now)
+
+    def on_worker_crash(self, worker: int) -> None:
+        """Re-queue in-flight work lost to a worker crash (wave re-execution).
+
+        Tasks running (or backing off) on the crashed worker's slots return
+        to their queue at their nominal duration — the work done so far is
+        lost — and the slots leave the free pool until the repair.
+        """
+        if not self.running:
+            return
+        self._emit_fault_span("crash", slot=-1)
+        dead = self.cluster.worker_slots(worker)
+        for slot in dead:
+            active = self._active.pop(slot, None)
+            if active is not None:
+                active.event.cancel()
+                if active.spec_event is not None:
+                    active.spec_event.cancel()
+                if active.span_id:
+                    self._emit_task_span(active, outcome="crashed")
+                self._requeue_lost(active)
+            entry = self._retries.pop(slot, None)
+            if entry is not None:
+                event, base, _attempt, run = entry
+                event.cancel()
+                self._requeue(base, run)
+        self._free_slots = [s for s in self._free_slots if s not in dead]
+        self._refill()
+
+    def on_worker_repair(self, worker: int) -> None:
+        """Return a repaired worker's slots to the free pool and continue."""
+        if not self.running:
+            return
+        for slot in self.cluster.worker_slots(worker):
+            if (
+                slot not in self._active
+                and slot not in self._retries
+                and slot not in self._free_slots
+            ):
+                self._free_slots.append(slot)
+        self._refill()
+
+    # ------------------------------------------------------------------ hooks
+    def _begin(self) -> None:
+        """Enter the first phase or stage of a just-started attempt."""
+        raise NotImplementedError
+
+    def _refill(self) -> None:
+        """Fill free slots with waiting tasks (crash/repair continuation)."""
+        raise NotImplementedError
+
+    def _release_slot(self, slot: int) -> None:
+        """``slot`` is done with its task: free it and continue the attempt."""
+        raise NotImplementedError
+
+    def _on_task_succeeded(self, active: _ActiveTask) -> None:
+        """A task finished without failing; ``active`` left ``_active``."""
+        raise NotImplementedError
+
+    def _requeue(self, base: float, stage_run: Optional[StageRun]) -> None:
+        """Return a task of nominal duration ``base`` to its pending queue."""
+        raise NotImplementedError
+
+    def _requeue_lost(self, active: _ActiveTask) -> None:
+        """The in-flight task ``active`` was lost to a worker crash."""
+        self._requeue(active.base, active.stage_run)
+
+    def _close_spans(self, outcome: str) -> None:
+        """Emit the open phase or stage spans of an evicted attempt."""
+        raise NotImplementedError
+
+    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
+        raise NotImplementedError
+
+    def _retry_attempt_field(self, attempt: int) -> int:
+        """The ``attempt`` field of the ``fault.retry`` event after ``attempt``
+        failed (the failed attempt here; see ``telemetry/schema.py``)."""
+        return attempt
 
     # -------------------------------------------------------------- internals
     def _accumulate_sprint(self, now: float) -> None:
         if self._speed_since is not None and self._speed > 1.0:
             self.sprinted_time += now - self._speed_since
         self._speed_since = now
+
+    def _emit_fault_span(self, name: str, slot: int) -> None:
+        """Instant fault annotation attached to the current attempt span."""
+        if not self.telemetry.tracing:
+            return
+        now = self.sim.now
+        self.telemetry.emit(
+            "span",
+            now,
+            src=self.telemetry_src,
+            span_id=self.telemetry.new_span_id(),
+            parent_id=self.trace_parent,
+            name=name,
+            cat="fault",
+            start=now,
+            job_id=self.job.job_id,
+            slot=slot,
+        )
+
+    def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        """The completion callback of ``slot``, built on first use."""
+        callback = self._task_callbacks.get(slot)
+        if callback is None:
+            callback = self._task_callbacks[slot] = self._make_task_callback(slot)
+        return callback
+
+    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        active_tasks = self._active
+
+        def _callback(_sim: Simulator) -> None:
+            if not self.running:
+                return
+            active = active_tasks.pop(slot, None)
+            if active is None:
+                return
+            if active.will_fail:
+                self._on_task_failed(active)
+                return
+            self._on_task_succeeded(active)
+
+        return _callback
+
+    # ------------------------------------------------------ fault machinery
+    def _start_task(
+        self, slot: int, stage_run: Optional[StageRun], base: float, attempt: int
+    ) -> float:
+        """Dispatch one attempt of a task under fault injection.
+
+        Draw order is fixed (slowdown, then failure) so the fault streams
+        advance identically regardless of scheduling interleavings.  Returns
+        the drawn slowdown.
+        """
+        faults = self._faults
+        now = self.sim.now
+        slowdown = faults.draw_slowdown()
+        will_fail = faults.draw_task_failure()
+        event = self.sim.schedule(
+            base * slowdown / self._speed, self._task_callback(slot), priority=1
+        )
+        self._active[slot] = _ActiveTask(
+            slot,
+            event,
+            self._speed,
+            now,
+            self.telemetry.new_span_id() if self.telemetry.tracing else 0,
+            stage_run,
+            base,
+            attempt,
+            will_fail,
+        )
+        if slowdown > 1.0 and self.telemetry.enabled:
+            self.telemetry.emit(
+                "fault.straggler",
+                now,
+                src=self.telemetry_src,
+                job_id=self.job.job_id,
+                slot=slot,
+                slowdown=slowdown,
+            )
+        return slowdown
+
+    def _note_task_failure(self, active: _ActiveTask) -> None:
+        self._faults.note_task_failure()
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                "fault.task_fail",
+                self.sim.now,
+                src=self.telemetry_src,
+                job_id=self.job.job_id,
+                slot=active.slot,
+                attempt=active.attempt,
+            )
+        if active.span_id:
+            self._emit_task_span(active, outcome="failed")
+
+    def _on_task_failed(self, active: _ActiveTask) -> None:
+        """A pre-drawn transient failure surfaced at the task's end time."""
+        self._note_task_failure(active)
+        faults = self._faults
+        slot = active.slot
+        if active.attempt <= faults.max_retries:
+            delay = faults.retry_delay(active.attempt)
+            faults.note_retry()
+            if self.telemetry.enabled:
+                self.telemetry.emit(
+                    "fault.retry",
+                    self.sim.now,
+                    src=self.telemetry_src,
+                    job_id=self.job.job_id,
+                    slot=slot,
+                    attempt=self._retry_attempt_field(active.attempt),
+                    delay=delay,
+                )
+            self._emit_fault_span("retry", slot)
+            # The slot sits out the backoff: neither free nor active, and a
+            # DAG stage's in-flight count stays up so it cannot advance phase.
+            event = self.sim.schedule(
+                delay, self._make_retry_callback(slot), priority=1
+            )
+            self._retries[slot] = (
+                event, active.base, active.attempt + 1, active.stage_run
+            )
+            return
+        # Retries exhausted: escalate to a job-level re-execution if the
+        # controller gave us a hook, else re-queue as a fresh task.
+        if self._on_give_up is not None:
+            self._on_give_up(self)
+            return
+        self._requeue(active.base, active.stage_run)
+        self._release_slot(slot)
+
+    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
+        def _callback(_sim: Simulator) -> None:
+            if not self.running:
+                return
+            entry = self._retries.pop(slot, None)
+            if entry is None:
+                return
+            _event, base, attempt, run = entry
+            self._start_task(slot, run, base, attempt)
+
+        return _callback
+
+    def _finish(self) -> None:
+        now = self.sim.now
+        self._accumulate_sprint(now)
+        self.completed = True
+        self.completion_time = now
+        self._task_callbacks.clear()
+        self.on_complete(self)
+
+
+class JobExecution(Execution):
+    """Executes one job's phases on the cluster within the simulator."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        cluster: Cluster,
+        job: Job,
+        phases: Sequence[ExecutionPhase],
+        on_complete: Callable[["JobExecution"], None],
+        telemetry: TelemetryHub = NULL_HUB,
+        telemetry_src: str = "",
+        trace_parent: int = 0,
+        faults=None,
+        on_give_up: Optional[Callable[["JobExecution"], None]] = None,
+    ) -> None:
+        if not phases:
+            raise ValueError("a job execution needs at least one phase")
+        super().__init__(
+            sim, cluster, job, on_complete, telemetry, telemetry_src, trace_parent,
+            faults, on_give_up,
+        )
+        self.phases = list(phases)
+        #: (span id, start) of the open wave span when tracing; wave spans
+        #: attach to the attempt span, task spans to their wave span.
+        self._phase_span: Optional[tuple] = None
+        self._phase_index = -1
+        #: The current phase's pending task durations, last-first: the next
+        #: task to dispatch is ``pop()``, and a re-queued task goes to index 0.
+        self._pending: List[float] = []
+        self._parallel = True
+
+    @property
+    def current_phase(self) -> Optional[ExecutionPhase]:
+        if 0 <= self._phase_index < len(self.phases):
+            return self.phases[self._phase_index]
+        return None
+
+    # -------------------------------------------------------------- tracing
+    def _close_spans(self, outcome: str) -> None:
+        if self._phase_span is not None:
+            self._close_phase_span(outcome)
 
     def _close_phase_span(self, outcome: str = "completed") -> None:
         span_id, started = self._phase_span  # type: ignore[misc]
@@ -305,22 +578,6 @@ class JobExecution:
             outcome=outcome,
         )
 
-    def _emit_fault_span(self, name: str, slot: int) -> None:
-        """Instant fault annotation attached to the current attempt span."""
-        now = self.sim.now
-        self.telemetry.emit(
-            "span",
-            now,
-            src=self.telemetry_src,
-            span_id=self.telemetry.new_span_id(),
-            parent_id=self.trace_parent,
-            name=name,
-            cat="fault",
-            start=now,
-            job_id=self.job.job_id,
-            slot=slot,
-        )
-
     def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
         phase = self.current_phase
         self.telemetry.emit(
@@ -337,6 +594,10 @@ class JobExecution:
             stage=phase.stage_index if phase is not None else -1,
             outcome=outcome,
         )
+
+    # ------------------------------------------------------------- phases
+    def _begin(self) -> None:
+        self._advance_phase()
 
     def _advance_phase(self) -> None:
         if self._phase_span is not None:
@@ -368,60 +629,99 @@ class JobExecution:
         slot = self._free_slots.pop()
         duration = self._pending.pop()
         if self._faults is not None:
-            self._start_task(slot, duration, attempt=1)
+            self._start_task(slot, None, duration, 1)
             return
-        now = self.sim.now
         self._active[slot] = _ActiveTask(
             slot,
             self.sim.schedule(
                 duration / self._speed, self._task_callback(slot), priority=1
             ),
             self._speed,
-            now,
+            self.sim.now,
             self.telemetry.new_span_id() if self.telemetry.tracing else 0,
         )
 
-    # ------------------------------------------------------ fault machinery
-    def _start_task(self, slot: int, base: float, attempt: int) -> None:
-        """Dispatch one task under fault injection (slowdown/failure draws)."""
-        faults = self._faults
-        now = self.sim.now
-        slowdown = faults.draw_slowdown()
-        will_fail = faults.draw_task_failure()
-        event = self.sim.schedule(
-            base * slowdown / self._speed, self._task_callback(slot), priority=1
-        )
-        active = _ActiveTask(
-            slot=slot,
-            event=event,
-            speed=self._speed,
-            started_at=now,
-            span_id=self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-            base=base,
-            attempt=attempt,
-            will_fail=will_fail,
-        )
-        self._active[slot] = active
-        if slowdown > 1.0:
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.straggler",
+    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
+        if self._faults is not None:
+            return super()._make_task_callback(slot)
+
+        active_tasks = self._active
+        callbacks = self._task_callbacks
+        telemetry = self.telemetry
+
+        def _callback(sim: Simulator) -> None:
+            # The one no-fault completion path.  A freed slot that the phase
+            # can still use takes the next pending task at once instead of
+            # round-tripping through ``_free_slots``.  The callback looks
+            # itself up in ``callbacks``: closing over itself would make a
+            # cycle that clearing the dict does not break.
+            active = active_tasks.pop(slot, None)
+            if active is None:  # finished or evicted
+                return
+            if active.span_id:
+                self._emit_task_span(active)
+            pending = self._pending
+            if pending and (self._parallel or not active_tasks):
+                now = sim.now
+                speed = self._speed
+                active_tasks[slot] = _ActiveTask(
+                    slot,
+                    sim.schedule(pending.pop() / speed, callbacks[slot], priority=1),
+                    speed,
                     now,
-                    src=self.telemetry_src,
-                    job_id=self.job.job_id,
-                    slot=slot,
-                    slowdown=slowdown,
+                    telemetry.new_span_id() if telemetry.tracing else 0,
                 )
-            factor = faults.speculation_factor
-            if factor > 0.0:
-                # The speculation check fires once the task has overrun
-                # ``factor`` times its nominal duration; the check deadline
-                # is fixed at dispatch speed (DVFS changes don't move it).
-                active.spec_event = self.sim.schedule(
-                    base * factor / self._speed,
-                    self._make_speculation_callback(slot),
-                    priority=3,
-                )
+                return
+            self._free_slots.append(slot)
+            if not pending and not active_tasks:
+                self._advance_phase()
+
+        return _callback
+
+    def _release_slot(self, slot: int) -> None:
+        """Free ``slot`` and continue the wave (fault-injection path)."""
+        self._free_slots.append(slot)
+        phase = self.current_phase
+        if self._pending and (
+            phase is None or phase.parallel or not (self._active or self._retries)
+        ):
+            self._dispatch_next_task()
+            return
+        if not self._pending and not self._active and not self._retries:
+            self._advance_phase()
+
+    def _refill(self) -> None:
+        phase = self.current_phase
+        while self._pending and self._free_slots:
+            if (
+                phase is not None
+                and not phase.parallel
+                and (self._active or self._retries)
+            ):
+                return
+            self._dispatch_next_task()
+        if not self._pending and not self._active and not self._retries:
+            self._advance_phase()
+
+    def _requeue(self, base: float, stage_run: Optional[StageRun]) -> None:
+        self._pending.insert(0, base)
+
+    # -------------------------------------------------- speculative copies
+    def _start_task(
+        self, slot: int, stage_run: Optional[StageRun], base: float, attempt: int
+    ) -> float:
+        slowdown = super()._start_task(slot, stage_run, base, attempt)
+        factor = self._faults.speculation_factor
+        if slowdown > 1.0 and factor > 0.0:
+            # The speculation check fires once the task has overrun
+            # ``factor`` times its nominal duration; the check deadline
+            # is fixed at dispatch speed (DVFS changes don't move it).
+            self._active[slot].spec_event = self.sim.schedule(
+                base * factor / self._speed,
+                self._make_speculation_callback(slot),
+                priority=3,
+            )
+        return slowdown
 
     def _make_speculation_callback(self, slot: int) -> Callable[[Simulator], None]:
         def _callback(_sim: Simulator) -> None:
@@ -465,117 +765,17 @@ class JobExecution:
                 slot=slot,
                 copy_slot=copy_slot,
             )
-        if self.telemetry.tracing:
-            self._emit_fault_span("speculate", slot=slot)
+        self._emit_fault_span("speculate", slot=slot)
 
-    def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        """The completion callback of ``slot``, built on first use."""
-        callback = self._task_callbacks.get(slot)
-        if callback is None:
-            callback = self._task_callbacks[slot] = self._make_task_callback(slot)
-        return callback
-
-    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        if self._faults is not None:
-            def _on_fault_path(_sim: Simulator) -> None:
-                self._on_task_done(slot)
-
-            return _on_fault_path
-
-        active_tasks = self._active
-        callbacks = self._task_callbacks
-        telemetry = self.telemetry
-
-        def _callback(sim: Simulator) -> None:
-            # The one no-fault completion path.  A freed slot that the phase
-            # can still use takes the next pending task at once instead of
-            # round-tripping through ``_free_slots``.  The callback looks
-            # itself up in ``callbacks``: closing over itself would make a
-            # cycle that clearing the dict does not break.
-            active = active_tasks.pop(slot, None)
-            if active is None:  # finished or evicted
-                return
-            if active.span_id:
-                self._emit_task_span(active)
-            pending = self._pending
-            if pending and (self._parallel or not active_tasks):
-                now = sim.now
-                speed = self._speed
-                active_tasks[slot] = _ActiveTask(
-                    slot,
-                    sim.schedule(pending.pop() / speed, callbacks[slot], priority=1),
-                    speed,
-                    now,
-                    telemetry.new_span_id() if telemetry.tracing else 0,
-                )
-                return
-            self._free_slots.append(slot)
-            if not pending and not active_tasks:
-                self._advance_phase()
-
-        return _callback
-
-    def _on_task_done(self, slot: int) -> None:
-        """Completion under fault injection: retries and speculative copies."""
-        if not self.running:
-            return
-        active = self._active.pop(slot, None)
-        if active is None:
-            return
-        faults = self._faults
+    def _cancel_speculation_check(self, active: _ActiveTask) -> None:
         if active.spec_event is not None:
             active.spec_event.cancel()
             active.spec_event = None
-        if active.will_fail:
-            faults.note_task_failure()
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "fault.task_fail",
-                    self.sim.now,
-                    src=self.telemetry_src,
-                    job_id=self.job.job_id,
-                    slot=slot,
-                    attempt=active.attempt,
-                )
-            if active.span_id:
-                self._emit_task_span(active, outcome="failed")
-            if active.copy_slot >= 0 and active.copy_slot in self._active:
-                # The failed primary had a live speculative copy: the copy
-                # takes over ownership of the task, the primary just retires.
-                self._active[active.copy_slot].copy_of = -1
-                self._release_slot(slot)
-                return
-            if active.attempt <= faults.max_retries:
-                delay = faults.retry_delay(active.attempt)
-                faults.note_retry()
-                if self.telemetry.enabled:
-                    self.telemetry.emit(
-                        "fault.retry",
-                        self.sim.now,
-                        src=self.telemetry_src,
-                        job_id=self.job.job_id,
-                        slot=slot,
-                        attempt=active.attempt,
-                        delay=delay,
-                    )
-                if self.telemetry.tracing:
-                    self._emit_fault_span("retry", slot=slot)
-                # The slot sits out the backoff: not free, not active.
-                event = self.sim.schedule(
-                    delay, self._make_retry_callback(slot), priority=1
-                )
-                self._retries[slot] = (event, active.base, active.attempt + 1)
-                return
-            # Retries exhausted: escalate to a job-level re-execution if the
-            # controller gave us a hook, else re-queue as a fresh task.
-            if self._on_give_up is not None:
-                self._on_give_up(self)
-                return
-            self._pending.insert(0, active.base)
-            self._release_slot(slot)
-            return
-        # Success.  First finisher of a primary/copy pair wins; the loser is
-        # cancelled through the kernel's existing cancellation path.
+
+    def _on_task_succeeded(self, active: _ActiveTask) -> None:
+        self._cancel_speculation_check(active)
+        # First finisher of a primary/copy pair wins; the loser is cancelled
+        # through the kernel's existing cancellation path.
         if active.copy_of >= 0:
             primary = self._active.pop(active.copy_of, None)
             if primary is not None:
@@ -594,102 +794,28 @@ class JobExecution:
                 self._free_slots.append(copy.slot)
         if active.span_id:
             self._emit_task_span(active)
-        self._release_slot(slot)
+        self._release_slot(active.slot)
 
-    def _make_retry_callback(self, slot: int) -> Callable[[Simulator], None]:
-        def _callback(_sim: Simulator) -> None:
-            if not self.running:
-                return
-            entry = self._retries.pop(slot, None)
-            if entry is None:
-                return
-            _event, base, attempt = entry
-            self._start_task(slot, base, attempt)
-
-        return _callback
-
-    def _release_slot(self, slot: int) -> None:
-        """Free ``slot`` and continue the wave (fault-injection path)."""
-        self._free_slots.append(slot)
-        phase = self.current_phase
-        if self._pending and (
-            phase is None or phase.parallel or not (self._active or self._retries)
-        ):
-            self._dispatch_next_task()
+    def _on_task_failed(self, active: _ActiveTask) -> None:
+        self._cancel_speculation_check(active)
+        copy = self._active.get(active.copy_slot) if active.copy_slot >= 0 else None
+        if copy is None:
+            super()._on_task_failed(active)
             return
-        if not self._pending and not self._active and not self._retries:
-            self._advance_phase()
+        # The failed primary had a live speculative copy: the copy takes
+        # over ownership of the task, the primary just retires.
+        self._note_task_failure(active)
+        copy.copy_of = -1
+        self._release_slot(active.slot)
 
-    def _dispatch_pending(self) -> None:
-        """Fill free slots with pending tasks (crash/repair continuation)."""
-        phase = self.current_phase
-        while self._pending and self._free_slots:
-            if (
-                phase is not None
-                and not phase.parallel
-                and (self._active or self._retries)
-            ):
-                return
-            self._dispatch_next_task()
-        if not self._pending and not self._active and not self._retries:
-            self._advance_phase()
-
-    def on_worker_crash(self, worker: int) -> None:
-        """Re-queue in-flight work lost to a worker crash (wave re-execution).
-
-        Tasks running (or backing off) on the crashed worker's slots return
-        to the pending queue at their nominal duration — the work done so far
-        is lost — and the slots leave the free pool until the repair.  A
-        straggler/copy pair degrades gracefully: the surviving side keeps
-        running and takes ownership.
-        """
-        if not self.running:
-            return
-        if self.telemetry.tracing:
-            self._emit_fault_span("crash", slot=-1)
-        for slot in self.cluster.worker_slots(worker):
-            active = self._active.pop(slot, None)
-            if active is not None:
-                active.event.cancel()
-                if active.spec_event is not None:
-                    active.spec_event.cancel()
-                if active.span_id:
-                    self._emit_task_span(active, outcome="crashed")
-                if active.copy_of >= 0:
-                    partner = self._active.get(active.copy_of)
-                    if partner is not None:
-                        partner.copy_slot = -1
-                elif active.copy_slot >= 0 and active.copy_slot in self._active:
-                    self._active[active.copy_slot].copy_of = -1
-                else:
-                    self._pending.insert(0, active.base)
-            entry = self._retries.pop(slot, None)
-            if entry is not None:
-                entry[0].cancel()
-                self._pending.insert(0, entry[1])
-            try:
-                self._free_slots.remove(slot)
-            except ValueError:
-                pass
-        self._dispatch_pending()
-
-    def on_worker_repair(self, worker: int) -> None:
-        """Return a repaired worker's slots to the free pool and continue."""
-        if not self.running:
-            return
-        for slot in self.cluster.worker_slots(worker):
-            if (
-                slot not in self._active
-                and slot not in self._retries
-                and slot not in self._free_slots
-            ):
-                self._free_slots.append(slot)
-        self._dispatch_pending()
-
-    def _finish(self) -> None:
-        now = self.sim.now
-        self._accumulate_sprint(now)
-        self.completed = True
-        self.completion_time = now
-        self._task_callbacks.clear()
-        self.on_complete(self)
+    def _requeue_lost(self, active: _ActiveTask) -> None:
+        # A straggler/copy pair degrades gracefully: the surviving side
+        # keeps running and takes ownership.
+        if active.copy_of >= 0:
+            partner = self._active.get(active.copy_of)
+            if partner is not None:
+                partner.copy_slot = -1
+        elif active.copy_slot >= 0 and active.copy_slot in self._active:
+            self._active[active.copy_slot].copy_of = -1
+        else:
+            self._pending.insert(0, active.base)

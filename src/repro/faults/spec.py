@@ -27,10 +27,13 @@ Three fault kinds exist:
 
 Unknown kinds, keys or enum values raise :class:`ValueError` naming the
 valid choices, matching the CLI convention for routers and schedulers.
+Non-finite numbers (``nan``, ``inf``) are rejected too, whether parsed or
+passed to the spec dataclasses directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -56,6 +59,9 @@ class CrashSpec:
     probation: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite("crash mttf", self.mttf)
+        _check_finite("crash repair", self.repair)
+        _check_finite("crash probation", self.probation)
         if self.mttf <= 0:
             raise ValueError(f"crash mttf must be positive, got {self.mttf!r}")
         if self.repair < 0:
@@ -82,6 +88,8 @@ class StragglerSpec:
     speculate: float = 1.5
 
     def __post_init__(self) -> None:
+        _check_finite("straggler slowdown", self.slowdown)
+        _check_finite("straggler speculate factor", self.speculate)
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"straggler p must be in [0, 1], got {self.probability!r}"
@@ -106,6 +114,7 @@ class TaskFailSpec:
     jitter: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_finite("taskfail backoff", self.backoff)
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"taskfail p must be in [0, 1], got {self.probability!r}")
         if self.retries < 0:
@@ -183,6 +192,13 @@ class FaultSpec:
                 f"retries={self.taskfail.retries})"
             )
         return "; ".join(parts) if parts else "none"
+
+
+def _check_finite(name: str, value: float) -> None:
+    # NaN passes every range check below, and inf is never a usable rate,
+    # duration or factor.
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _check_choice(kind: str, value: str, valid: Tuple[str, ...]) -> None:

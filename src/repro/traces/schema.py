@@ -16,6 +16,7 @@ can be sanity-checked without replaying it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Dict, Iterator, Tuple
 
 
@@ -108,6 +109,13 @@ class TraceStage:
             raise TraceFormatError(f"stage {self.index} has a non-positive map duration")
         if any(t <= 0 for t in self.reduce_durations):
             raise TraceFormatError(f"stage {self.index} has a non-positive reduce duration")
+        if not (
+            all(map(isfinite, self.map_durations))
+            and all(map(isfinite, self.reduce_durations))
+        ):
+            raise TraceFormatError(f"stage {self.index} task durations must be finite")
+        if not isfinite(self.shuffle_time):
+            raise TraceFormatError(f"stage {self.index} shuffle time must be finite")
         if self.shuffle_time < 0:
             raise TraceFormatError(f"stage {self.index} has a negative shuffle time")
         if self.index in self.parents:
@@ -157,12 +165,14 @@ class TraceJob:
             raise TraceFormatError(
                 f"job {self.job_id}: unknown kind {self.kind!r}; expected one of {TRACE_KINDS}"
             )
+        if not isfinite(self.arrival_time):
+            raise TraceFormatError(f"job {self.job_id}: arrival time must be finite")
         if self.arrival_time < 0:
             raise TraceFormatError(f"job {self.job_id}: negative arrival time")
         if self.priority < 0:
             raise TraceFormatError(f"job {self.job_id}: negative priority")
-        if self.size_mb <= 0:
-            raise TraceFormatError(f"job {self.job_id}: size_mb must be positive")
+        if not (isfinite(self.size_mb) and self.size_mb > 0):
+            raise TraceFormatError(f"job {self.job_id}: size_mb must be positive and finite")
         if not self.stages:
             raise TraceFormatError(f"job {self.job_id}: a job needs at least one stage")
         indices = tuple(stage.index for stage in self.stages)

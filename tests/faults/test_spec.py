@@ -91,6 +91,46 @@ def test_invalid_specs_name_the_valid_choices(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("crash:mttf=nan", "crash mttf must be a finite number"),
+        ("crash:mttf=inf", "crash mttf must be a finite number"),
+        ("crash:mttf=100,repair=nan", "crash repair must be a finite number"),
+        ("crash:mttf=100,repair=inf", "crash repair must be a finite number"),
+        ("crash:mttf=100,probation=nan", "crash probation must be a finite number"),
+        ("stragglers:p=nan", "must be in [0, 1]"),
+        ("stragglers:p=0.1,slowdown=nan", "slowdown must be a finite number"),
+        ("stragglers:p=0.1,slowdown=inf", "slowdown must be a finite number"),
+        ("stragglers:p=0.1,speculate=nan", "speculate factor must be a finite number"),
+        ("stragglers:p=0.1,speculate=inf", "speculate factor must be a finite number"),
+        ("taskfail:p=nan", "must be in [0, 1]"),
+        ("taskfail:p=0.1,backoff=nan", "backoff must be a finite number"),
+        ("taskfail:p=0.1,backoff=-inf", "backoff must be a finite number"),
+        ("taskfail:p=0.1,jitter=nan", "must be in [0, 1]"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(text, fragment):
+    with pytest.raises(ValueError) as excinfo:
+        parse_fault_spec(text)
+    assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CrashSpec(mttf=float("nan")),
+        lambda: CrashSpec(mttf=100.0, repair=float("inf")),
+        lambda: StragglerSpec(probability=0.1, slowdown=float("nan")),
+        lambda: StragglerSpec(probability=0.1, speculate=float("inf")),
+        lambda: TaskFailSpec(probability=0.1, backoff=float("nan")),
+    ],
+)
+def test_specs_built_in_code_reject_non_finite_numbers(build):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        build()
+
+
 def test_scaled_level_zero_disables_everything():
     spec = parse_fault_spec("crash:mttf=100;stragglers:p=0.1;taskfail:p=0.05")
     assert spec.scaled(0.0).is_empty

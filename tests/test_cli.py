@@ -234,6 +234,39 @@ def test_jobs_flag_error_message_is_clear(capsys):
     assert "must be >= 1" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "Infinity", "NaN"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["fleet", "--telemetry-interval"],
+        ["fleet", "--until"],
+        ["fleet", "--replay-time-scale"],
+        ["chaos", "--utilisation"],
+    ],
+)
+def test_positive_float_flags_reject_non_finite_values(flags, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(flags + [value])
+    assert excinfo.value.code == 2
+    assert "must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("crash:mttf=nan", "crash mttf must be a finite number"),
+        ("crash:mttf=100,repair=nan", "crash repair must be a finite number"),
+        ("stragglers:p=0.1,slowdown=nan", "straggler slowdown must be a finite number"),
+        ("stragglers:p=0.1,slowdown=inf", "straggler slowdown must be a finite number"),
+        ("stragglers:p=0.1,speculate=nan", "speculate factor must be a finite number"),
+    ],
+)
+def test_non_finite_fault_specs_fail_before_running(spec, message, capsys):
+    code = main(["compare", "--num-jobs", "5", "--faults", spec])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_fleet_command_replications(capsys):
     code = main([
         "fleet", "--clusters", "2", "--router", "round_robin",

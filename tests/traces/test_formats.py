@@ -184,6 +184,63 @@ def test_malformed_csv_row_reports_line_number(tmp_path):
         list(iter_trace(path))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("t", "NaN", "line 3: job 1: arrival time must be finite"),
+        ("t", "Infinity", "line 3: job 1: arrival time must be finite"),
+        ("mb", "NaN", "line 3: job 1: size_mb must be positive and finite"),
+        ("mb", "Infinity", "line 3: job 1: size_mb must be positive and finite"),
+    ],
+)
+def test_non_finite_job_fields_report_the_line(tmp_path, field, value, message):
+    path = str(tmp_path / "t.jsonl")
+    write_trace(path, [_varied_job(0, 0.0), _varied_job(1, 1.0)],
+                TraceMeta(format=CLUSTER_JSONL))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    record = json.loads(lines[2])
+    record[field] = "@"
+    lines[2] = json.dumps(record).replace('"@"', value)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as excinfo:
+        list(iter_trace(path))
+    assert str(excinfo.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        ({"m": ["@", 1.0]}, "line 2: stage 0 task durations must be finite"),
+        ({"m": [1.0], "r": ["@"]}, "line 2: stage 0 task durations must be finite"),
+        ({"m": [1.0], "r": [1.0], "s": "@"}, "line 2: stage 0 shuffle time must be finite"),
+    ],
+)
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_task_times_report_the_line(tmp_path, stage, message, value):
+    path = tmp_path / "t.jsonl"
+    header = json.dumps({"repro_trace": {"format": CLUSTER_JSONL}})
+    body = json.dumps({"id": 0, "t": 0.0, "p": 0, "mb": 100.0, "stages": [stage]})
+    path.write_text(header + "\n" + body.replace('"@"', value) + "\n")
+    with pytest.raises(TraceFormatError) as excinfo:
+        list(iter_trace(str(path)))
+    assert str(excinfo.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TraceStage(index=0, map_durations=(float("nan"),)),
+        lambda: TraceStage(index=0, map_durations=(1.0,), shuffle_time=float("inf")),
+        lambda: TraceJob(job_id=0, arrival_time=float("nan"), priority=0, size_mb=1.0,
+                         stages=(TraceStage(index=0, map_durations=(1.0,)),)),
+    ],
+)
+def test_records_built_in_code_reject_non_finite_numbers(build):
+    with pytest.raises(TraceFormatError, match="must be"):
+        build()
+
+
 def test_out_of_order_arrivals_are_rejected(tmp_path):
     path = str(tmp_path / "t.jsonl")
     records = [_varied_job(0, 5.0), _varied_job(1, 2.0)]
