@@ -1,10 +1,12 @@
 """Golden runs: SHA-256 digests of the controller's observable output.
 
-Each run below drives the DiAS controller (standalone, DAG or fleet) with
-telemetry on and hashes what it leaves behind: the telemetry JSONL (samples
-and spans), the Chrome-trace export where there is one, and a result
+Each run below drives the DiAS controller (standalone, DAG or fleet) and
+hashes what it leaves behind: the telemetry JSONL (samples and spans) where
+telemetry is on, the Chrome-trace export where there is one, and a result
 summary (the CLI report, or every headline number of the result object with
-floats written exactly).  A refactor of the controller, the executions or
+floats written exactly).  Most runs stream telemetry; the ``unobserved`` ones
+run with it off, because an unobserved DAG attempt takes a different path
+through :class:`~repro.dag.execution.DagExecution`.  A refactor of the controller, the executions or
 the arrival path must leave every digest unchanged.  A change that alters a
 digest on purpose must say why in ``CHANGES.md`` and update :data:`GOLDEN`;
 ``python tests/integration/test_golden_runs.py`` prints the current digests.
@@ -30,7 +32,7 @@ from repro.core.config import SprintConfig
 from repro.core.dias import DiASSimulation
 from repro.core.policies import SchedulingPolicy
 from repro.dag.simulation import DagSimulation
-from repro.telemetry import JsonLinesSink, TelemetryHub
+from repro.telemetry import NULL_HUB, JsonLinesSink, TelemetryHub
 from repro.workloads.scenarios import (
     HIGH,
     LOW,
@@ -97,6 +99,10 @@ CLI_RUNS: Dict[str, list] = {
         "--num-jobs", "60", "--seed", "2", "--telemetry-interval", "10",
         "--telemetry", "{telemetry}",
     ],
+    # No telemetry and no trace; preemption evicts two attempts.
+    "dag-P-unobserved": [
+        "dag", "--policy", "P", "--num-jobs", "40", "--seed", "5",
+    ],
 }
 
 
@@ -122,9 +128,10 @@ def _cli_digest(name: str, workdir: str) -> str:
         code = main(argv)
     assert code == 0, out.getvalue()
     stdout = out.getvalue().replace(workdir, "<dir>").encode()
-    parts = [stdout, _read(telemetry)]
-    if os.path.exists(trace):
-        parts.append(_read(trace))
+    parts = [stdout]
+    for path in (telemetry, trace):
+        if os.path.exists(path):
+            parts.append(_read(path))
     return _digest(*parts)
 
 
@@ -225,9 +232,16 @@ API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "dias-sprinting-api": _dias_sprinting,
 }
 
+#: The same builders with telemetry off: only the result summary is hashed.
+UNOBSERVED_API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
+    "dag-sprinting-unobserved": _dag_sprinting,
+    "dag-job-source-unobserved": _dag_job_source,
+}
+
 #: Digests recorded before the DAG controller became a DiAS subclass; the
 #: ``dag-srw`` and ``dag-widest`` runs before the stage schedulers got sort keys;
-#: ``compare-faults-traced`` before the executions shared one lifecycle base.
+#: ``compare-faults-traced`` before the executions shared one lifecycle base;
+#: the ``unobserved`` runs before unobserved DAG attempts left the per-task path.
 GOLDEN: Dict[str, str] = {
     "dag-cpfirst-traced-sampled": "4a266be1d8140b26a5a428fb8ae69cb123073fab14be091e8aba0a8e180753b1",
     "dag-srw-traced-sampled": "85d1e47f3789178268bc03a02cf5ef8e95202b6fc8e63b5d935743a3cab52be0",
@@ -241,21 +255,29 @@ GOLDEN: Dict[str, str] = {
     "dag-sprinting-api": "41455588e8eaa6b4b77a780178cf4a05f16cf134c2cf444bfe2aee88c489a842",
     "dag-job-source-api": "b60b2f676c80ab6f1dc98c2512fc7bd4e2e65d48bb1a85a5d5caa08381da7f58",
     "dias-sprinting-api": "744128f6d1078d40d573113cf245ed02c5c74c44cd98b0d993ed77b246a66186",
+    "dag-P-unobserved": "70d47f4fe8835585912bd5d15a3046bc91faf48e2c729e2904de06142dc9f303",
+    "dag-sprinting-unobserved": "e68247e1433cc77dd34720bc9cd05ac8a64f39090b65bea58f00be5c02d3060e",
+    "dag-job-source-unobserved": "22e75951b1ccb1cf7b1d11dbd4f8a889211d242dec42978d847b95d2e813e6cd",
 }
 
 
 def current_digest(name: str, workdir: str) -> str:
     if name in CLI_RUNS:
         return _cli_digest(name, workdir)
+    if name in UNOBSERVED_API_RUNS:
+        return _digest(_summary(UNOBSERVED_API_RUNS[name](NULL_HUB).run()))
     return _api_digest(API_RUNS[name], workdir, name)
 
 
-@pytest.mark.parametrize("name", list(CLI_RUNS) + list(API_RUNS))
+ALL_RUNS = list(CLI_RUNS) + list(API_RUNS) + list(UNOBSERVED_API_RUNS)
+
+
+@pytest.mark.parametrize("name", ALL_RUNS)
 def test_golden_run_digest_is_unchanged(name, tmp_path):
     assert current_digest(name, str(tmp_path)) == GOLDEN[name]
 
 
 if __name__ == "__main__":  # pragma: no cover - digest recording helper
     with tempfile.TemporaryDirectory() as workdir:
-        for run in list(CLI_RUNS) + list(API_RUNS):
+        for run in ALL_RUNS:
             print(f'    "{run}": "{current_digest(run, workdir)}",')
