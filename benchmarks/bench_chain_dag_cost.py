@@ -2,13 +2,18 @@
 
 Every job of the ``fleet-jsq`` ledger workload (``fleet_two_priority_scenario``
 with 4 clusters x 400 jobs, DA(0/20) drop plans) runs alone on a fresh
-simulator twice: once through :class:`~repro.engine.execution.JobExecution`
-over :func:`~repro.engine.execution.build_phases`, and once as a chain DAG
+simulator three times: once through
+:class:`~repro.engine.execution.JobExecution` over
+:func:`~repro.engine.execution.build_phases`, and twice as a chain DAG
 (stage *i* depends on stage *i - 1*) through
-:class:`~repro.dag.execution.DagExecution` under ``fifo``.  Construction
-counts, so the DAG side pays its per-job critical-path set-up.  The script
-checks that both cores finish every job at the same instant and prints the
-best-of-N host seconds of each side and their ratio::
+:class:`~repro.dag.execution.DagExecution` under ``fifo``.  The first chain
+run has telemetry off, so each attempt runs on the execution's private heap
+and the kernel sees one event per job.  The second streams telemetry to a
+discarding sink, which keeps the attempt on the per-task path (one kernel
+event per task).  Construction counts, so the DAG sides pay their per-job
+critical-path set-up.  The script exits non-zero unless all three finish
+every job at the same instant, and prints the best-of-N host seconds of each
+side and their ratios to ``JobExecution``::
 
     PYTHONPATH=src python benchmarks/bench_chain_dag_cost.py [--repeats 5]
 
@@ -27,6 +32,7 @@ from repro.dag.execution import DagExecution
 from repro.dag.graph import DagJob, DagStage, StageDAG
 from repro.engine.execution import JobExecution, build_phases
 from repro.simulation.des import Simulator
+from repro.telemetry import NULL_HUB, CallbackSink, TelemetryHub
 from repro.workloads.scenarios import fleet_two_priority_scenario
 
 #: DA(0/20): the low class drops 20 % of its map tasks, the high class none.
@@ -50,10 +56,17 @@ def _linear(sim, cluster, job, ratio, plan, done):
     return JobExecution(sim, cluster, job, phases, on_complete=done)
 
 
-def _chain(sim, cluster, job, ratio, plan, done):
+def _chain(sim, cluster, job, ratio, plan, done, telemetry=NULL_HUB):
     return DagExecution(sim, cluster, job, scheduler="fifo", on_complete=done,
                         map_drop_ratio=ratio, kept_map_indices=plan.kept_map_indices,
-                        kept_reduce_indices=plan.kept_reduce_indices)
+                        kept_reduce_indices=plan.kept_reduce_indices,
+                        telemetry=telemetry)
+
+
+def _per_task_chain(sim, cluster, job, ratio, plan, done):
+    hub = TelemetryHub()
+    hub.add_sink(CallbackSink(lambda event: None))
+    return _chain(sim, cluster, job, ratio, plan, done, telemetry=hub)
 
 
 def _pass(make, cluster, inputs):
@@ -86,17 +99,24 @@ def main() -> None:
         linear_inputs.append((job, ratio, plan))
         chain_inputs.append((as_chain(job), ratio, plan))
 
-    best = {"linear": float("inf"), "chain": float("inf")}
+    sides = {
+        "JobExecution": (_linear, linear_inputs),
+        "private chain DAG": (_chain, chain_inputs),
+        "per-task chain DAG": (_per_task_chain, chain_inputs),
+    }
+    best = dict.fromkeys(sides, float("inf"))
     for _ in range(args.repeats):
-        linear_s, linear_times = _pass(_linear, cluster, linear_inputs)
-        chain_s, chain_times = _pass(_chain, cluster, chain_inputs)
-        if chain_times != linear_times:
-            raise SystemExit("FAIL: chain DAG completion times differ from JobExecution")
-        best["linear"] = min(best["linear"], linear_s)
-        best["chain"] = min(best["chain"], chain_s)
-    print(f"{len(jobs)} jobs, best of {args.repeats}: JobExecution {best['linear']:.3f} s   "
-          f"chain DagExecution {best['chain']:.3f} s   "
-          f"ratio {best['chain'] / best['linear']:.2f}x")
+        times = {}
+        for name, (make, inputs) in sides.items():
+            seconds, times[name] = _pass(make, cluster, inputs)
+            best[name] = min(best[name], seconds)
+        for name in sides:
+            if times[name] != times["JobExecution"]:
+                raise SystemExit(f"FAIL: {name} completion times differ from JobExecution")
+    linear = best["JobExecution"]
+    print(f"{len(jobs)} jobs, best of {args.repeats}: "
+          + "   ".join(f"{name} {seconds:.3f} s ({seconds / linear:.2f}x)"
+                       for name, seconds in best.items()))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ Two sections, recorded to ``benchmarks/results/BENCH_learned_policy.json``:
    (``benchmarks/_pr9_decisions.py``, monkeypatched verbatim onto the live
    classes) and **fails (exit 1) when the current path falls below 95% of
    the PR 9 baseline** — an unattached hook must stay effectively free.
+   The DAG run streams telemetry to a discarding sink, because an
+   unobserved DAG attempt runs on a private heap instead of the per-task
+   path timed here; the section also fails when either patched side never
+   runs.
 
 2. **Learned policies vs naive heuristics under common random numbers.**
    Trains the contextual bandits in their decision envs, then evaluates the
@@ -60,6 +64,7 @@ from repro.env import (  # noqa: E402
 )
 from repro.env.learn import summarise  # noqa: E402
 from repro.fleet.simulation import FleetSimulation  # noqa: E402
+from repro.telemetry import CallbackSink, TelemetryHub  # noqa: E402
 from repro.workloads import scenarios as scenario_module  # noqa: E402
 
 HOOK_OVERHEAD_MIN_RATIO = 0.95
@@ -76,6 +81,19 @@ def _best_of(repeats: int, run_once: Callable[[], float]) -> float:
 # ---------------------------------------------------------------------------
 # Section 1: hook overhead vs the retained PR 9 decision sites
 # ---------------------------------------------------------------------------
+def _discarding_hub() -> TelemetryHub:
+    """An enabled hub that drops every event.
+
+    With telemetry off a DAG attempt runs on the execution's private heap,
+    not through the one-kernel-event-per-task dispatch the PR 9 body
+    implements; an enabled hub keeps both sides on the per-task path that
+    this section times.
+    """
+    hub = TelemetryHub()
+    hub.add_sink(CallbackSink(lambda event: None))
+    return hub
+
+
 def _time_dag_run(num_jobs: int, seed: int) -> float:
     scenario = scenario_module.dag_layered_scenario(num_jobs=num_jobs)
     trace = scenario.generate_trace(seed=seed)
@@ -86,8 +104,26 @@ def _time_dag_run(num_jobs: int, seed: int) -> float:
         scheduler="critical_path_first",
         cluster=scenario.cluster,
         seed=seed,
+        telemetry=_discarding_hub(),
     ).run()
     return time.perf_counter() - start
+
+
+def _calls(cls, attr: str, fn: Callable, run_once: Callable[[], float]) -> int:
+    """How often ``fn``, patched in as ``cls.attr``, runs in one untimed run."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    original = getattr(cls, attr)
+    setattr(cls, attr, counted)
+    try:
+        run_once()
+    finally:
+        setattr(cls, attr, original)
+    return calls[0]
 
 
 def _time_fleet_run(num_jobs: int, seed: int) -> float:
@@ -119,6 +155,13 @@ def _measure_hook_overhead(
                   lambda: _time_fleet_run(num_fleet_jobs, seed)),
     }
     for name, (cls, attr, baseline_fn, run_once) in patches.items():
+        # A gate that times code neither side runs measures nothing.
+        for fn in (getattr(cls, attr), baseline_fn):
+            if not _calls(cls, attr, fn, run_once):
+                raise SystemExit(
+                    f"FAIL: {cls.__name__}.{attr} ({fn.__module__}) never ran in "
+                    f"the {name} hook-overhead run"
+                )
         current_times: List[float] = []
         baseline_times: List[float] = []
         original = getattr(cls, attr)

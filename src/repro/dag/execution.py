@@ -13,12 +13,29 @@ Like its linear counterpart, the execution inherits the attempt lifecycle
 of :class:`~repro.engine.execution.Execution` — DVFS rescaling, eviction and
 fault recovery — so the DiAS controller machinery (sprinter, energy meter,
 preemptive baseline) drives DAG jobs unchanged.
+
+**Private runs.**  An attempt that nobody observes — no fault injector, a
+disabled telemetry hub and no decision hook — changes only when the
+controller sprints it or evicts it.  Until then its schedule is
+deterministic list scheduling, so :meth:`DagExecution.start` runs it to the
+end at once on a private ``(time, seq)`` heap of task ends and gives the
+kernel a single event, at the attempt's end, instead of one per task.  The
+private run calls the same activation, pick and stage-completion code as the
+per-task path, with the same float expressions and tie order, so the
+attempt ends at the same instant to the bit.  ``evict`` cancels that one
+event.  A real speed change *materialises* the attempt: the private run is
+replayed from the start up to now, its in-flight tasks become ordinary
+per-task events, and the rest of the attempt runs per task.  Kernel event
+counts therefore fall on such runs; observed runs keep the per-task path,
+because their probes fire at task and stage instants.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
-from operator import attrgetter
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.dag.analytics import (
@@ -33,13 +50,14 @@ from repro.engine.cluster import Cluster
 from repro.engine.execution import Execution, _ActiveTask
 from repro.engine.job import effective_task_count
 from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
-from repro.simulation.des import Simulator
+from repro.simulation.des import Event, Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
 #: Sentinel slot key for the job-level setup task.
 _SETUP_SLOT = -1
 
 _position = attrgetter("position")
+_dispatch_seq = itemgetter(1)
 
 
 class StageRun:
@@ -62,6 +80,19 @@ class StageRun:
         if stage.shuffle_time > 0 and reduce_durations:
             self._phases.append(([stage.shuffle_time], False))
         self._phases.append((list(reduce_durations), True))
+        self._work = sum(d for durations, _ in self._phases for d in durations)
+        #: Position in the job's topological stage order; the frontier is
+        #: kept sorted by it so candidates come in full-scan order.
+        self.position = position
+        self.rank = 0.0
+        # Trace span of this stage (0 / unset while tracing is off); opened
+        # at activation, emitted when the stage finishes or is evicted.
+        self.span_id = 0
+        self.activated_at = 0.0
+        self.reset()
+
+    def reset(self) -> None:
+        """Return to the state before the attempt started."""
         self._phase_index = -1
         #: Undispatched task durations of the current phase, last first:
         #: ``pending[-1]`` is the next task to dispatch.
@@ -69,17 +100,9 @@ class StageRun:
         self._parallel = True
         self.active = 0
         self.ready_seq = -1
-        #: Position in the job's topological stage order; the frontier is
-        #: kept sorted by it so candidates come in full-scan order.
-        self.position = position
-        self.unfinished_parents = len(stage.parents)
+        self.unfinished_parents = len(self.stage.parents)
         self.done = False
-        self.rank = 0.0
-        self._undispatched = sum(d for durations, _ in self._phases for d in durations)
-        # Trace span of this stage (0 / unset while tracing is off); opened
-        # at activation, emitted when the stage finishes or is evicted.
-        self.span_id = 0
-        self.activated_at = 0.0
+        self._undispatched = self._work
 
     # ----------------------------------------------------- scheduler queries
     @property
@@ -265,6 +288,16 @@ class DagExecution(Execution):
         self._ready_counter = 0
         self._remaining_stages = len(self._runs)
 
+        #: While an unobserved attempt runs privately: the heap of
+        #: ``(end time, dispatch seq, slot, stage run)`` entries of its
+        #: in-flight tasks (stage run ``None`` for the setup), with
+        #: ``_clock`` the private time and ``_dispatched`` the next seq.
+        self._private: Optional[List[tuple]] = None
+        self._clock = 0.0
+        self._dispatched = 0
+        #: The one kernel event of a privately run attempt, at its end.
+        self._end_event: Optional[Event] = None
+
     @staticmethod
     def _kept(
         durations: Sequence[float],
@@ -359,7 +392,35 @@ class DagExecution(Execution):
 
     # ------------------------------------------------------------- stages
     def _begin(self) -> None:
-        if self._setup_time > 0:
+        if (
+            self._faults is not None
+            or self._decision_hook is not None
+            or self.telemetry.enabled
+        ):
+            self._enter()
+            return
+        # Unobserved: until a speed change, eviction or the end, the attempt
+        # is deterministic list scheduling, so run it to the end now and
+        # give the kernel one event, at the end.
+        self._run_private(math.inf, True)
+        if self._dispatched:
+            self._end_event = self.sim.schedule_at(
+                self._clock, self._on_private_end, priority=1
+            )
+        else:
+            # Nothing to run: the attempt ends inside ``start``, as it does
+            # on the per-task path.
+            self._finish()
+
+    def _enter(self) -> None:
+        """Start the setup task, or the source stages when there is none."""
+        if self._setup_time <= 0:
+            self._activate_sources()
+        elif self._private is not None:
+            heappush(self._private, (self._clock + self._setup_time / self._speed,
+                                     self._dispatched, _SETUP_SLOT, None))
+            self._dispatched += 1
+        else:
             if self.telemetry.tracing:
                 self._setup_span = (self.telemetry.new_span_id(), self.sim.now)
             self._active[_SETUP_SLOT] = _ActiveTask(
@@ -370,8 +431,6 @@ class DagExecution(Execution):
                 self._speed,
                 self.sim.now,
             )
-        else:
-            self._activate_sources()
 
     def _on_setup_done(self, _sim: Simulator) -> None:
         if not self.running:
@@ -427,15 +486,9 @@ class DagExecution(Execution):
         free = self._free_slots
         frontier = self._frontier
         ordered = self._ordered
-        hook = self._decision_hook
-        faults = self._faults
-        sim = self.sim
-        now = sim.now
+        private = self._private
         speed = self._speed
-        active = self._active
-        callbacks = self._task_callbacks
-        telemetry = self.telemetry
-        tracing = telemetry.tracing
+        now = self._clock if private is not None else self.sim.now
         # Ordered path: the frontier holds only ready, not-done stages in
         # pick order, and a pick only makes its own stage less dispatchable,
         # so each pick resumes the scan where the previous one stopped.
@@ -454,6 +507,7 @@ class DagExecution(Execution):
                 eligible = [run for run in frontier if run.dispatchable]
                 if not eligible:
                     break
+                hook = self._decision_hook
                 if hook is None:
                     run = self.scheduler.select(eligible)
                 else:
@@ -466,26 +520,34 @@ class DagExecution(Execution):
                     run = eligible[choice]
             slot = free.pop()
             duration = run.pop_task()
-            if faults is not None:
+            if private is not None:
+                heappush(private, (now + duration / speed, self._dispatched, slot, run))
+                self._dispatched += 1
+            elif self._faults is not None:
                 self._start_task(slot, run, duration, attempt=1)
-                continue
-            callback = callbacks.get(slot)
-            if callback is None:
-                callback = callbacks[slot] = self._make_task_callback(slot)
-            active[slot] = _ActiveTask(
-                slot,
-                sim.schedule(duration / speed, callback, priority=1),
-                speed,
-                now,
-                telemetry.new_span_id() if tracing else 0,
-                run,
-            )
+            else:
+                callbacks = self._task_callbacks
+                callback = callbacks.get(slot)
+                if callback is None:
+                    callback = callbacks[slot] = self._make_task_callback(slot)
+                telemetry = self.telemetry
+                self._active[slot] = _ActiveTask(
+                    slot,
+                    self.sim.schedule(duration / speed, callback, priority=1),
+                    speed,
+                    now,
+                    telemetry.new_span_id() if telemetry.tracing else 0,
+                    run,
+                )
 
     # --------------------------------------------------------- completion
     def _on_task_succeeded(self, active: _ActiveTask) -> None:
         if active.span_id:
             self._emit_task_span(active)
-        run = active.stage_run
+        self._task_done(active.slot, active.stage_run)
+
+    def _task_done(self, slot: int, run: StageRun) -> None:
+        """A task of ``run`` freed ``slot``: finish stages, then refill."""
         if run.task_finished():
             self._frontier.remove(run)
             if run.span_id:
@@ -497,7 +559,7 @@ class DagExecution(Execution):
                 if child.unfinished_parents == 0:
                     self._activate_stage(child)
         # ``_release_slot`` inlined: this is the DAG core's per-task path.
-        self._free_slots.append(active.slot)
+        self._free_slots.append(slot)
         if self._remaining_stages == 0 and not self._active and not self._retries:
             self._finish()
             return
@@ -519,3 +581,88 @@ class DagExecution(Execution):
 
     def _retry_attempt_field(self, attempt: int) -> int:
         return attempt + 1
+
+    def _finish(self) -> None:
+        # A private run only reaches its end here; its kernel event (or, for
+        # an attempt with nothing to run, ``_begin``) finishes it.
+        if self._private is None:
+            super()._finish()
+
+    # ------------------------------------------------------------ private run
+    def _run_private(self, until: float, inclusive: bool) -> List[tuple]:
+        """Run the attempt from its start on a private heap up to ``until``.
+
+        Private events at ``until`` itself run only when ``inclusive``.
+        Returns the heap of the tasks still in flight.
+        """
+        self._private = heap = []
+        self._clock = self.start_time
+        self._dispatched = 0
+        self._enter()
+        while heap:
+            time = heap[0][0]
+            if time > until or (time == until and not inclusive):
+                break
+            _time, _seq, slot, run = heappop(heap)
+            self._clock = time
+            if run is None:
+                self._activate_sources()
+            else:
+                self._task_done(slot, run)
+        self._private = None
+        return heap
+
+    def _on_private_end(self, _sim: Simulator) -> None:
+        self._end_event = None
+        self._finish()
+
+    def _materialise(self) -> None:
+        """Hand a privately run attempt to the kernel, one event per task.
+
+        The private run is replayed from the attempt's start up to now.  Its
+        in-flight tasks become ordinary ``_ActiveTask`` entries in dispatch
+        order, and the rest of the attempt runs per task.
+        """
+        self._end_event.cancel()
+        self._end_event = None
+        for run in self._runs.values():
+            run.reset()
+        self._frontier = []
+        self._ready_counter = 0
+        self._remaining_stages = len(self._runs)
+        self._free_slots = list(range(self.cluster.slots))
+        sim = self.sim
+        in_flight = self._run_private(sim.now, self._ties_fired())
+        for time, _seq, slot, run in sorted(in_flight, key=_dispatch_seq):
+            callback = self._on_setup_done if run is None else self._task_callback(slot)
+            self._active[slot] = _ActiveTask(
+                slot, sim.schedule_at(time, callback, priority=1), self._speed,
+                stage_run=run,
+            )
+
+    def _ties_fired(self) -> bool:
+        """Whether the per-task events that end now would already have fired.
+
+        Those are priority-1 events scheduled after the attempt started, and
+        not by the running callback, since every task takes positive time.
+        So they have fired if the running event has priority 2 or more (a
+        sprint timer) or no event is running (a call between two kernel
+        runs).  They have not if it has priority 0 (an arrival) or 1, which
+        is taken to sort first: the DAG controller's only priority-1 events
+        are attempt and task ends, and those reach ``set_speed`` only by
+        starting an attempt.
+        """
+        priority = self.sim.running_priority
+        return priority is None or priority > 1
+
+    # --------------------------------------------------------------- control
+    def set_speed(self, speed: float) -> None:
+        if self._end_event is not None and speed != self._speed:
+            self._materialise()
+        super().set_speed(speed)
+
+    def evict(self) -> float:
+        if self._end_event is not None:
+            self._end_event.cancel()
+            self._end_event = None
+        return super().evict()

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
@@ -219,6 +220,24 @@ class Simulator:
     def heap_compactions(self) -> int:
         """Number of times the event heap was rebuilt to drop dead entries."""
         return self._compactions
+
+    @property
+    def running_priority(self) -> Optional[int]:
+        """Priority of the event whose callback is running (``None`` outside one).
+
+        Read from the frame of the :meth:`run` or :meth:`step` call that
+        invoked the callback, so the run loops store nothing per event to
+        offer it.  It costs a walk up the call stack; it is meant for rare
+        questions such as which same-instant events have already fired.
+        """
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in _LOOP_CODES:
+                local = frame.f_locals
+                if local.get("self") is self and "event" in local:
+                    return local["event"].priority
+            frame = frame.f_back
+        return None
 
     # ------------------------------------------------------------- scheduling
     def schedule(
@@ -454,6 +473,11 @@ class Simulator:
         while heap and heap[0][3].cancelled:
             _heappop(heap)
             self._cancel_pops += 1
+
+
+#: Code objects of the loops that invoke event callbacks (see
+#: :attr:`Simulator.running_priority`).
+_LOOP_CODES = (Simulator.run.__code__, Simulator.step.__code__)
 
 
 class ArrivalPump:
