@@ -85,9 +85,9 @@ def _discarding_hub() -> TelemetryHub:
     """An enabled hub that drops every event.
 
     With telemetry off a DAG attempt runs on the execution's private heap,
-    not through the one-kernel-event-per-task dispatch the PR 9 body
-    implements; an enabled hub keeps both sides on the per-task path that
-    this section times.
+    not through the one-kernel-event-per-task dispatch the retained
+    baseline body implements; an enabled hub keeps both sides on the
+    per-task path that this section times.
     """
     hub = TelemetryHub()
     hub.add_sink(CallbackSink(lambda event: None))
