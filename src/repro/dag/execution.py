@@ -328,6 +328,11 @@ class DagExecution(Execution):
         return self._setup_time + self.analysis.lower_bound_makespan
 
     def stage_run(self, index: int) -> StageRun:
+        """Runtime state of stage ``index``.
+
+        While a privately run attempt is in progress this is its state at
+        the attempt's end (see the module docstring), not at ``sim.now``.
+        """
         return self._runs[index]
 
     # -------------------------------------------------------------- tracing

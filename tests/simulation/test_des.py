@@ -243,3 +243,38 @@ def test_run_with_max_events_skips_cancelled_without_counting_them():
         sim.schedule(float(i + 1), lambda s, i=i: fired.append(i))
     sim.run(max_events=2)
     assert fired == [0, 1]
+
+
+def test_running_priority_is_the_priority_of_the_event_being_run():
+    sim = Simulator()
+    seen = []
+
+    def record(s):
+        seen.append(s.running_priority)
+
+    sim.schedule(1.0, record, priority=2)
+    sim.schedule(1.0, record, priority=0)
+    sim.run()
+    sim.schedule(1.0, record, priority=5)
+    sim.step()
+    sim.schedule(1.0, record, priority=7)
+    sim.run(until=100.0)
+    sim.schedule(1.0, record, priority=3)
+    sim.run(max_events=5)
+    assert seen == [0, 2, 5, 7, 3]
+    assert sim.running_priority is None
+
+
+def test_running_priority_belongs_to_its_own_simulator():
+    outer, inner = Simulator(), Simulator()
+    seen = []
+
+    def nested(_sim):
+        inner.schedule(0.0, lambda s: seen.append((s.running_priority,
+                                                    outer.running_priority)),
+                       priority=4)
+        inner.run()
+
+    outer.schedule(1.0, nested, priority=1)
+    outer.run()
+    assert seen == [(4, 1)]
