@@ -32,11 +32,13 @@ from repro.core.config import SprintConfig
 from repro.core.dias import DiASSimulation
 from repro.core.policies import SchedulingPolicy
 from repro.dag.simulation import DagSimulation
+from repro.fleet.simulation import FleetSimulation
 from repro.telemetry import NULL_HUB, JsonLinesSink, TelemetryHub
 from repro.workloads.scenarios import (
     HIGH,
     LOW,
     dag_layered_scenario,
+    fleet_two_priority_scenario,
     reference_two_priority_scenario,
 )
 
@@ -137,6 +139,16 @@ def _cli_digest(name: str, workdir: str) -> str:
 
 def _summary(result) -> bytes:
     """Every headline number of a result, floats written exactly."""
+    if hasattr(result, "cluster_results"):
+        return json.dumps(
+            {
+                "fleet": result.summary(),
+                "dispatch": result.dispatch_counts,
+                "faults": result.fault_counts,
+                "clusters": [json.loads(_summary(r)) for r in result.cluster_results],
+            },
+            sort_keys=True,
+        ).encode()
     fields = {
         "policy": result.policy_name,
         "completed": result.completed_jobs,
@@ -226,10 +238,26 @@ def _dias_sprinting(hub: TelemetryHub) -> DiASSimulation:
     )
 
 
+def _fleet_faults(hub: TelemetryHub) -> FleetSimulation:
+    """Shared sprint budget, quarantine redirects and fault restarts."""
+    scenario = fleet_two_priority_scenario(num_clusters=3, num_jobs_per_cluster=20)
+    return FleetSimulation(
+        policy=_sprinting_policy(),
+        jobs=scenario.generate_trace(seed=4),
+        clusters=scenario.make_clusters(),
+        dispatcher="jsq",
+        sprint_budget="shared",
+        seed=4,
+        telemetry=hub,
+        faults="crash:mttf=1500,repair=60;taskfail:p=0.05,retries=1",
+    )
+
+
 API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "dag-sprinting-api": _dag_sprinting,
     "dag-job-source-api": _dag_job_source,
     "dias-sprinting-api": _dias_sprinting,
+    "fleet-faults-api": _fleet_faults,
 }
 
 #: The same builders with telemetry off: only the result summary is hashed.
@@ -255,6 +283,7 @@ GOLDEN: Dict[str, str] = {
     "dag-sprinting-api": "41455588e8eaa6b4b77a780178cf4a05f16cf134c2cf444bfe2aee88c489a842",
     "dag-job-source-api": "b60b2f676c80ab6f1dc98c2512fc7bd4e2e65d48bb1a85a5d5caa08381da7f58",
     "dias-sprinting-api": "744128f6d1078d40d573113cf245ed02c5c74c44cd98b0d993ed77b246a66186",
+    "fleet-faults-api": "fa392b571f6e727e7d179050ce939cca96f2c0c362aa4884ad45f88ddd58e09a",
     "dag-P-unobserved": "70d47f4fe8835585912bd5d15a3046bc91faf48e2c729e2904de06142dc9f303",
     "dag-sprinting-unobserved": "e68247e1433cc77dd34720bc9cd05ac8a64f39090b65bea58f00be5c02d3060e",
     "dag-job-source-unobserved": "22e75951b1ccb1cf7b1d11dbd4f8a889211d242dec42978d847b95d2e813e6cd",
