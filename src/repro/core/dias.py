@@ -48,28 +48,13 @@ from repro.models.accuracy import AccuracyModel
 from repro.simulation.des import Simulator
 from repro.simulation.metrics import ClassMetrics, JobRecord, MetricsCollector
 from repro.simulation.random_streams import RandomStreams
-from repro.telemetry import NULL_HUB, PeriodicSampler, TelemetryHub, kernel_sample_source
-
-
-def _dropped_task_seconds(job: Job, plan: DropPlan) -> float:
-    """Slot-seconds of task work the drop plan sheds (for span attribution).
-
-    Stages absent from the plan's kept-index maps keep all their tasks and
-    contribute nothing.
-    """
-    dropped = 0.0
-    for stage in job.stages:
-        kept_map = plan.kept_map_indices.get(stage.index)
-        if kept_map is not None:
-            dropped += sum(stage.map_task_times) - sum(
-                stage.map_task_times[i] for i in kept_map
-            )
-        kept_reduce = plan.kept_reduce_indices.get(stage.index)
-        if kept_reduce is not None:
-            dropped += sum(stage.reduce_task_times) - sum(
-                stage.reduce_task_times[i] for i in kept_reduce
-            )
-    return dropped
+from repro.telemetry import (
+    NULL_HUB,
+    LifecycleProbe,
+    PeriodicSampler,
+    TelemetryHub,
+    kernel_sample_source,
+)
 
 
 @dataclass(frozen=True)
@@ -233,10 +218,13 @@ class DiASSimulation:
                 policy.sprint,
                 on_sprint_start=self._on_sprint_start,
                 on_sprint_end=self._on_sprint_end,
-                telemetry=telemetry,
-                telemetry_src=self.telemetry_src,
                 on_sprint_denied=self._on_sprint_denied,
             )
+        #: Reports every lifecycle transition as events and spans.
+        self.probe = LifecycleProbe(
+            telemetry, self.telemetry_src, self.sim, self.cluster,
+            self._attempt_span_fields,
+        )
 
         #: Optional fault injector; ``None`` keeps every hot path on the
         #: historical branch (fault injection is zero-cost when disabled).
@@ -262,9 +250,6 @@ class DiASSimulation:
         self._running_plan: Optional[DropPlan] = None
         # Per-job bookkeeping across (possibly multiple, if evicted) attempts.
         self._job_state: Dict[int, Dict[str, float]] = {}
-        # Open-span bookkeeping (job/queue/attempt/sprint ids and start
-        # times) per job while span tracing is on; empty otherwise.
-        self._trace: Dict[int, Dict[str, Any]] = {}
         self._completed = 0
         # Completions that drain a standalone run: the trace length, or
         # unknown (infinite) until a streaming source runs dry.  Embedded
@@ -531,24 +516,7 @@ class DiASSimulation:
         # reused job id (hand-built traces) shares the entry still in flight.
         if job.job_id not in self._job_state:
             self._job_state[job.job_id] = {"wasted": 0.0, "evictions": 0}
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "job_admitted",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=job.job_id,
-                priority=job.priority,
-            )
-        if self.telemetry.tracing:
-            # Open the job's root span and its first queue wait; both close
-            # later (spans are emitted at close time, ids are stable now).
-            self._trace[job.job_id] = {
-                "job": self.telemetry.new_span_id(),
-                "job_start": self.sim.now,
-                "attempt": 0,
-                "queue_id": self.telemetry.new_span_id(),
-                "queue_start": self.sim.now,
-            }
+        self.probe.admitted(job)
         self.buffers.push(job)
         if self.tracks_backlog:
             self._queued_work += self._estimated_service_time(job)
@@ -572,23 +540,7 @@ class DiASSimulation:
                 0.0, self._queued_work - self._estimated_service_time(job)
             )
         plan, map_drop, reduce_drop = self._plan_drops(job)
-        if self.telemetry.enabled:
-            # kept_map_indices maps stage index -> kept task indices.
-            kept = sum(len(idx) for idx in plan.kept_map_indices.values())
-            self.telemetry.emit(
-                "drop_decision",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=job.job_id,
-                priority=job.priority,
-                map_drop_ratio=map_drop,
-                reduce_drop_ratio=reduce_drop,
-                kept_map_tasks=kept,
-                dropped_map_tasks=job.num_map_tasks - kept,
-            )
-        trace_parent = 0
-        if self.telemetry.tracing:
-            trace_parent = self._trace_dispatch(job, plan)
+        trace_parent = self.probe.dispatched(job, plan, map_drop, reduce_drop)
         # Every dispatch starts at the base frequency; sprinting (if any) is
         # triggered later by the sprinter's timer.
         self.cluster.set_sprinting(False)
@@ -603,77 +555,11 @@ class DiASSimulation:
         if self.sprinter is not None:
             self.sprinter.on_dispatch(execution)
 
-    # ------------------------------------------------------------ span probes
-    def _trace_dispatch(self, job: Job, plan: DropPlan) -> int:
-        """Close the queue span, open the attempt span, annotate the drop.
+    def _evict_running(self, restart: Optional[str] = None) -> None:
+        """Abort the running attempt and put its job back at the buffer head.
 
-        Returns the attempt span id, which the execution uses as the parent
-        of its wave/stage/task spans.  Only called while tracing.
+        ``restart`` names the fault that forced it (``None`` under preemption).
         """
-        telemetry = self.telemetry
-        now = self.sim.now
-        state = self._trace[job.job_id]
-        telemetry.emit(
-            "span",
-            now,
-            src=self.telemetry_src,
-            span_id=state.pop("queue_id"),
-            parent_id=state["job"],
-            name="queue_wait",
-            cat="queue",
-            start=state.pop("queue_start"),
-            job_id=job.job_id,
-            priority=job.priority,
-        )
-        state["attempt"] += 1
-        attempt_id = telemetry.new_span_id()
-        state["attempt_id"] = attempt_id
-        state["attempt_start"] = now
-        dropped_seconds = _dropped_task_seconds(job, plan)
-        if dropped_seconds > 0.0:
-            kept = sum(len(idx) for idx in plan.kept_map_indices.values()) + sum(
-                len(idx) for idx in plan.kept_reduce_indices.values()
-            )
-            telemetry.emit(
-                "span",
-                now,
-                src=self.telemetry_src,
-                span_id=telemetry.new_span_id(),
-                parent_id=attempt_id,
-                name="drop",
-                cat="drop",
-                start=now,
-                job_id=job.job_id,
-                dropped_tasks=job.num_map_tasks + job.num_reduce_tasks - kept,
-                salvaged=dropped_seconds / self.cluster.slots,
-            )
-        return attempt_id
-
-    def _trace_attempt_end(self, execution: Execution, outcome: str) -> None:
-        """Close the current attempt span; only called while tracing.
-
-        :meth:`_attempt_span_fields` adds controller-specific fields (the DAG
-        controller's PERT predictions).
-        """
-        job = execution.job
-        state = self._trace[job.job_id]
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=state.pop("attempt_id"),
-            parent_id=state["job"],
-            name="attempt",
-            cat="attempt",
-            start=state.pop("attempt_start"),
-            job_id=job.job_id,
-            attempt=state["attempt"],
-            outcome=outcome,
-            sprinted=execution.sprinted_time,
-            **self._attempt_span_fields(execution),
-        )
-
-    def _evict_running(self) -> None:
         execution = self._running
         if execution is None:
             return
@@ -682,34 +568,7 @@ class DiASSimulation:
         wasted = execution.evict()
         self.cluster.set_sprinting(False)
         job = execution.job
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "job_evicted",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=job.job_id,
-                priority=job.priority,
-                wasted=wasted,
-            )
-        if self.telemetry.tracing:
-            now = self.sim.now
-            trace_state = self._trace[job.job_id]
-            self.telemetry.emit(
-                "span",
-                now,
-                src=self.telemetry_src,
-                span_id=self.telemetry.new_span_id(),
-                parent_id=trace_state["attempt_id"],
-                name="evict",
-                cat="evict",
-                start=now,
-                job_id=job.job_id,
-                wasted=wasted,
-            )
-            self._trace_attempt_end(execution, "evicted")
-            # The job re-queues at this same instant: open the next wait.
-            trace_state["queue_id"] = self.telemetry.new_span_id()
-            trace_state["queue_start"] = now
+        self.probe.evicted(execution, wasted, restart)
         # setdefault: hand-built traces may reuse job ids, and a duplicate's
         # bookkeeping can already have been popped by the first completion.
         state = self._job_state.setdefault(job.job_id, {"wasted": 0.0, "evictions": 0})
@@ -756,32 +615,7 @@ class DiASSimulation:
         self.metrics.record_busy_time(execution.elapsed)
         if self.on_job_record is not None:
             self.on_job_record(record)
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "job_completed",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=job.job_id,
-                priority=job.priority,
-                response_time=record.response_time,
-                execution_time=record.execution_time,
-                drop_ratio=record.drop_ratio,
-            )
-        if self.telemetry.tracing:
-            self._trace_attempt_end(execution, "completed")
-            trace_state = self._trace.pop(job.job_id)
-            self.telemetry.emit(
-                "span",
-                self.sim.now,
-                src=self.telemetry_src,
-                span_id=trace_state["job"],
-                parent_id=0,
-                name="job",
-                cat="job",
-                start=trace_state["job_start"],
-                job_id=job.job_id,
-                priority=job.priority,
-            )
+        self.probe.completed(execution, record)
         self._completed += 1
         if self._completed >= self._drain_target:
             # Standalone run drained: cancel the open-ended crash/repair
@@ -811,32 +645,11 @@ class DiASSimulation:
         execution = self._running
         if execution is None:
             return
-        job = execution.job
-        if self.telemetry.tracing:
-            # Annotate before eviction so the trace records *why* the
-            # attempt was aborted, not just that it was evicted.
-            self.telemetry.emit(
-                "span",
-                self.sim.now,
-                src=self.telemetry_src,
-                span_id=self.telemetry.new_span_id(),
-                parent_id=execution.trace_parent,
-                name=reason,
-                cat="fault",
-                start=self.sim.now,
-                job_id=job.job_id,
-                slot=-1,
-            )
-        self._evict_running()
+        # Annotate before eviction so the trace records *why* the attempt
+        # was aborted, not just that it was evicted.
+        self.probe.restarting(execution, reason)
         self.faults.note_job_restart()
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "fault.job_restart",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=job.job_id,
-                reason=reason,
-            )
+        self._evict_running(restart=reason)
 
     def _on_task_exhausted(self, execution: Execution) -> None:
         """A task burned through its transient-failure retries: re-run the job."""
@@ -863,19 +676,7 @@ class DiASSimulation:
         if execution.running:
             execution.set_speed(self.cluster.speed)
         self.energy_meter.set_mode("sprint", self.sim.now)
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "dvfs_transition",
-                self.sim.now,
-                src=self.telemetry_src,
-                speed=self.cluster.speed,
-                mode="sprint",
-            )
-        if self.telemetry.tracing:
-            state = self._trace.get(execution.job.job_id)
-            if state is not None:
-                state["sprint_id"] = self.telemetry.new_span_id()
-                state["sprint_start"] = self.sim.now
+        self.probe.sprint_on(execution)
 
     def _on_sprint_end(self, execution: Execution) -> None:
         self.cluster.set_sprinting(False)
@@ -885,49 +686,10 @@ class DiASSimulation:
         else:
             mode = "busy" if self._running is not None else "idle"
             self.energy_meter.set_mode(mode, self.sim.now)
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "dvfs_transition",
-                self.sim.now,
-                src=self.telemetry_src,
-                speed=self.cluster.speed,
-                mode="nominal",
-            )
-        if self.telemetry.tracing:
-            state = self._trace.get(execution.job.job_id)
-            if state is not None and "sprint_start" in state:
-                # The DVFS throttle interval, a child of the attempt it
-                # accelerated (the sprinter always stops before the attempt
-                # closes, so the interval nests inside it).
-                self.telemetry.emit(
-                    "span",
-                    self.sim.now,
-                    src=self.telemetry_src,
-                    span_id=state.pop("sprint_id"),
-                    parent_id=state.get("attempt_id", state["job"]),
-                    name="sprint",
-                    cat="sprint",
-                    start=state.pop("sprint_start"),
-                    job_id=execution.job.job_id,
-                    speed=self.cluster.dvfs.speedup(self.cluster.dvfs.sprint),
-                )
+        self.probe.sprint_off(execution, self.sprinter.last_sprinted)
 
     def _on_sprint_denied(self, execution: Execution) -> None:
-        if self.telemetry.tracing:
-            state = self._trace.get(execution.job.job_id)
-            if state is not None and "attempt_id" in state:
-                now = self.sim.now
-                self.telemetry.emit(
-                    "span",
-                    now,
-                    src=self.telemetry_src,
-                    span_id=self.telemetry.new_span_id(),
-                    parent_id=state["attempt_id"],
-                    name="sprint_denied",
-                    cat="denied",
-                    start=now,
-                    job_id=execution.job.job_id,
-                )
+        self.probe.sprint_denied(execution)
 
 
 def run_policy(

@@ -10,13 +10,12 @@ hour) and never exceeds its cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from repro.core.config import SprintConfig
 from repro.engine.execution import Execution
 from repro.simulation.des import Event, Simulator
-from repro.telemetry.hub import NULL_HUB, TelemetryHub
+
 
 class SprintBudgetPool(Protocol):
     """Duck-typed shared budget arbiter a sprinter can delegate to."""
@@ -42,7 +41,9 @@ class Sprinter:
         The sprint configuration (eligibility, timeouts, budget, replenishment).
     on_sprint_start, on_sprint_end:
         Controller callbacks that actually change the cluster frequency, the
-        in-flight task completion times and the energy-meter mode.
+        in-flight task completion times and the energy-meter mode, and
+        report the transition.  ``on_sprint_end`` can read the sprint's
+        length from :attr:`last_sprinted`.
     budget_pool:
         Optional shared budget arbiter (e.g. a fleet-wide
         :class:`~repro.fleet.budget.SharedSprintBudget`).  When given, budget
@@ -50,9 +51,8 @@ class Sprinter:
         availability, notifies it on sprint start/end, and may be stopped by
         the pool via :meth:`force_stop` when the shared budget runs dry.  The
         local ``config.budget_seconds`` is then ignored.
-    telemetry, telemetry_src:
-        Probe bus (default: the disabled ``NULL_HUB``) and the source label
-        sprint start/end/denied events are published under.
+    on_sprint_denied:
+        Optional controller callback for a timeout that found no budget.
     """
 
     def __init__(
@@ -62,8 +62,6 @@ class Sprinter:
         on_sprint_start: Callable[[Execution], None],
         on_sprint_end: Callable[[Execution], None],
         budget_pool: Optional["SprintBudgetPool"] = None,
-        telemetry: TelemetryHub = NULL_HUB,
-        telemetry_src: str = "sprinter",
         on_sprint_denied: Optional[Callable[[Execution], None]] = None,
     ) -> None:
         self.sim = sim
@@ -72,8 +70,6 @@ class Sprinter:
         self.on_sprint_end = on_sprint_end
         self.on_sprint_denied = on_sprint_denied
         self.budget_pool = budget_pool
-        self.telemetry = telemetry
-        self.telemetry_src = telemetry_src
 
         self._budget = config.budget_seconds  # None = unlimited
         self._budget_updated_at = sim.now
@@ -83,6 +79,8 @@ class Sprinter:
         self._exhaust_event: Optional[Event] = None
         self._current: Optional[Execution] = None
         self.total_sprinted_seconds = 0.0
+        #: Length of the most recent sprint (seconds).
+        self.last_sprinted = 0.0
         self.sprints_started = 0
         self.sprints_denied = 0
 
@@ -155,26 +153,12 @@ class Sprinter:
         available = self.available_budget()
         if available is not None and available <= 0:
             self.sprints_denied += 1
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    "sprint_denied",
-                    self.sim.now,
-                    src=self.telemetry_src,
-                    job_id=execution.job.job_id,
-                )
             if self.on_sprint_denied is not None:
                 self.on_sprint_denied(execution)
             return
         self._sprinting = True
         self._sprint_started_at = self.sim.now
         self.sprints_started += 1
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "sprint_start",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=execution.job.job_id,
-            )
         self.on_sprint_start(execution)
         if self.budget_pool is not None:
             # The pool schedules (and reschedules) the shared exhaust event.
@@ -208,14 +192,7 @@ class Sprinter:
             sprinted = self.sim.now - self._sprint_started_at
             self.total_sprinted_seconds += sprinted
             self._sprint_started_at = None
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "sprint_end",
-                self.sim.now,
-                src=self.telemetry_src,
-                job_id=execution.job.job_id,
-                sprinted=sprinted,
-            )
+        self.last_sprinted = sprinted
         if self._exhaust_event is not None:
             self._exhaust_event.cancel()
             self._exhaust_event = None

@@ -183,8 +183,6 @@ class DagExecution(Execution):
     map_drop_ratio / reduce_drop_ratio:
         Uniform per-stage drop ratios (droppable stages only), mirroring
         :func:`~repro.engine.execution.build_phases`.
-    stage_map_drop_ratios / stage_reduce_drop_ratios:
-        Optional per-stage ratio overrides (e.g. slack-biased dropping).
     kept_map_indices / kept_reduce_indices:
         Explicit kept-task indices from a dropper plan; take precedence over
         any ratio.
@@ -210,8 +208,6 @@ class DagExecution(Execution):
         on_complete: Optional[Callable[["DagExecution"], None]] = None,
         map_drop_ratio: float = 0.0,
         reduce_drop_ratio: float = 0.0,
-        stage_map_drop_ratios: Optional[Mapping[int, float]] = None,
-        stage_reduce_drop_ratios: Optional[Mapping[int, float]] = None,
         kept_map_indices: Optional[Mapping[int, Sequence[int]]] = None,
         kept_reduce_indices: Optional[Mapping[int, Sequence[int]]] = None,
         setup_drop_ratio: Optional[float] = None,
@@ -254,18 +250,10 @@ class DagExecution(Execution):
         self._runs: Dict[int, StageRun] = {}
         for stage in job.dag:
             maps = self._kept(
-                stage.map_task_times,
-                stage,
-                kept_map_indices,
-                stage_map_drop_ratios,
-                map_drop_ratio,
+                stage.map_task_times, stage, kept_map_indices, map_drop_ratio
             )
             reduces = self._kept(
-                stage.reduce_task_times,
-                stage,
-                kept_reduce_indices,
-                stage_reduce_drop_ratios,
-                reduce_drop_ratio,
+                stage.reduce_task_times, stage, kept_reduce_indices, reduce_drop_ratio
             )
             self._runs[stage.index] = StageRun(stage, maps, reduces, len(self._runs))
             kept_durations[stage.index] = stage_duration(
@@ -303,16 +291,12 @@ class DagExecution(Execution):
         durations: Sequence[float],
         stage: DagStage,
         kept_indices: Optional[Mapping[int, Sequence[int]]],
-        stage_ratios: Optional[Mapping[int, float]],
-        uniform_ratio: float,
+        ratio: float,
     ) -> List[float]:
         if kept_indices is not None and stage.index in kept_indices:
             return [durations[i] for i in kept_indices[stage.index]]
         if not stage.droppable:
             return list(durations)
-        ratio = uniform_ratio
-        if stage_ratios is not None:
-            ratio = stage_ratios.get(stage.index, uniform_ratio)
         keep = effective_task_count(len(durations), ratio)
         return list(durations[:keep])
 
@@ -346,32 +330,18 @@ class DagExecution(Execution):
     def _emit_setup_span(self, outcome: str = "completed") -> None:
         span_id, started = self._setup_span  # type: ignore[misc]
         self._setup_span = None
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=span_id,
-            parent_id=self.trace_parent,
-            name="setup",
-            cat="stage",
-            start=started,
-            job_id=self.job.job_id,
+        self.telemetry.span(
+            self.sim.now, self.telemetry_src, span_id, self.trace_parent,
+            "setup", "stage", started, self.job.job_id,
             stage=-1,
             parents="",
             outcome=outcome,
         )
 
     def _emit_stage_span(self, run: StageRun, outcome: str = "completed") -> None:
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=run.span_id,
-            parent_id=self.trace_parent,
-            name="stage",
-            cat="stage",
-            start=run.activated_at,
-            job_id=self.job.job_id,
+        self.telemetry.span(
+            self.sim.now, self.telemetry_src, run.span_id, self.trace_parent,
+            "stage", "stage", run.activated_at, self.job.job_id,
             stage=run.index,
             parents=",".join(str(p) for p in run.stage.parents),
             pred=self.analysis.durations[run.index],
@@ -380,16 +350,10 @@ class DagExecution(Execution):
 
     def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
         run = active.stage_run
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=active.span_id,
-            parent_id=run.span_id if run is not None else self.trace_parent,
-            name="task",
-            cat="task",
-            start=active.started_at,
-            job_id=self.job.job_id,
+        self.telemetry.span(
+            self.sim.now, self.telemetry_src, active.span_id,
+            run.span_id if run is not None else self.trace_parent,
+            "task", "task", active.started_at, self.job.job_id,
             slot=active.slot,
             stage=run.index if run is not None else -1,
             outcome=outcome,

@@ -370,17 +370,9 @@ class Execution:
         if not self.telemetry.tracing:
             return
         now = self.sim.now
-        self.telemetry.emit(
-            "span",
-            now,
-            src=self.telemetry_src,
-            span_id=self.telemetry.new_span_id(),
-            parent_id=self.trace_parent,
-            name=name,
-            cat="fault",
-            start=now,
-            job_id=self.job.job_id,
-            slot=slot,
+        self.telemetry.span(
+            now, self.telemetry_src, self.telemetry.new_span_id(), self.trace_parent,
+            name, "fault", now, self.job.job_id, slot=slot,
         )
 
     def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
@@ -563,16 +555,9 @@ class JobExecution(Execution):
         span_id, started = self._phase_span  # type: ignore[misc]
         self._phase_span = None
         phase = self.phases[self._phase_index]
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=span_id,
-            parent_id=self.trace_parent,
-            name=phase.name,
-            cat="wave",
-            start=started,
-            job_id=self.job.job_id,
+        self.telemetry.span(
+            self.sim.now, self.telemetry_src, span_id, self.trace_parent,
+            phase.name, "wave", started, self.job.job_id,
             stage=phase.stage_index,
             tasks=len(phase.durations),
             outcome=outcome,
@@ -580,16 +565,10 @@ class JobExecution(Execution):
 
     def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
         phase = self.current_phase
-        self.telemetry.emit(
-            "span",
-            self.sim.now,
-            src=self.telemetry_src,
-            span_id=active.span_id,
-            parent_id=self._phase_span[0] if self._phase_span else self.trace_parent,
-            name="task",
-            cat="task",
-            start=active.started_at,
-            job_id=self.job.job_id,
+        self.telemetry.span(
+            self.sim.now, self.telemetry_src, active.span_id,
+            self._phase_span[0] if self._phase_span else self.trace_parent,
+            "task", "task", active.started_at, self.job.job_id,
             slot=active.slot,
             stage=phase.stage_index if phase is not None else -1,
             outcome=outcome,

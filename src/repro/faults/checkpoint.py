@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Any, Dict, Optional
+from bisect import bisect_right
+from operator import attrgetter
+from typing import Any, Dict, Optional, Sequence
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -55,6 +57,16 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
     return state
+
+
+def arrived_count(jobs: Sequence[Any], now: float) -> int:
+    """How many of the arrival-sorted ``jobs`` have arrived by ``now``.
+
+    A job arriving exactly at ``now`` counts as arrived even while its
+    arrival event is still in the heap; quiescence checks rely on that to
+    reject the instant before it is routed.
+    """
+    return bisect_right(jobs, now, key=attrgetter("arrival_time"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +277,7 @@ def attach_dias_checkpointing(simulation, every: float, path: str) -> None:
             return False
         if len(simulation.buffers):
             return False
-        arrived = 0
-        for job in simulation.jobs:  # arrival-sorted
-            if job.arrival_time > now:
-                break
-            arrived += 1
-        return arrived == simulation._completed
+        return arrived_count(simulation.jobs, now) == simulation._completed
 
     def _write(_sim) -> None:
         marks["armed"] = False

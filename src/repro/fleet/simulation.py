@@ -23,6 +23,7 @@ from repro.core.dias import DiASSimulation, DropRatioDecision
 from repro.core.policies import SchedulingPolicy
 from repro.engine.cluster import Cluster
 from repro.engine.job import Job
+from repro.faults.checkpoint import arrived_count
 from repro.faults.spec import FaultSpec, parse_fault_spec
 from repro.fleet.budget import SharedSprintBudget, build_budget_arbiter
 from repro.fleet.dispatcher import Dispatcher, make_dispatcher
@@ -32,7 +33,13 @@ from repro.simulation.decisions import ROUTE, DecisionHook, DecisionPoint
 from repro.simulation.des import ArrivalPump, Simulator
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.random_streams import RandomStreams
-from repro.telemetry import NULL_HUB, PeriodicSampler, TelemetryHub, kernel_sample_source
+from repro.telemetry import (
+    NULL_HUB,
+    LifecycleProbe,
+    PeriodicSampler,
+    TelemetryHub,
+    kernel_sample_source,
+)
 
 
 class FleetSimulation:
@@ -138,6 +145,7 @@ class FleetSimulation:
         self._decision_hook = decision_hook
         self.telemetry = telemetry
         self.sim = Simulator(telemetry=telemetry)
+        self.probe = LifecycleProbe(telemetry, "fleet", self.sim)
         self.budget_mode = sprint_budget
         self.fault_spec = parse_fault_spec(faults)
         # Graceful degradation only matters when servers actually crash.
@@ -367,13 +375,7 @@ class FleetSimulation:
         """
         if self._completed_jobs() != self._routed:
             return False
-        arrived = 0
-        now = self.sim.now
-        for job in self.jobs:  # arrival-sorted
-            if job.arrival_time > now:
-                break
-            arrived += 1
-        return arrived == self._routed
+        return arrived_count(self.jobs, self.sim.now) == self._routed
 
     def _maybe_checkpoint(self) -> None:
         """Arm a snapshot at the first quiescent point past each mark.
@@ -493,48 +495,14 @@ class FleetSimulation:
                 f"{chooser} returned invalid cluster "
                 f"index {index} for a fleet of {self.num_clusters}"
             )
+        chosen = index
         if self._quarantine:
-            redirected = self._quarantine_redirect(index)
-            if redirected != index:
+            index = self._quarantine_redirect(chosen)
+            if index != chosen:
                 self.quarantine_redirects += 1
-                if self.telemetry.enabled:
-                    self.telemetry.emit(
-                        "fault.quarantine",
-                        self.sim.now,
-                        src="fleet",
-                        job_id=job.job_id,
-                        cluster=index,
-                        redirected=redirected,
-                    )
-                index = redirected
         self._routed += 1
         self.dispatch_counts[index] += 1
-        if self.telemetry.enabled:
-            self.telemetry.emit(
-                "job_routed",
-                self.sim.now,
-                src="fleet",
-                job_id=job.job_id,
-                priority=job.priority,
-                cluster=index,
-            )
-        if self.telemetry.tracing:
-            # Routing annotation: an instant with no parent span (the job's
-            # root span opens inside the receiving controller right after),
-            # linked to the job tree by job_id at trace-assembly time.
-            now = self.sim.now
-            self.telemetry.emit(
-                "span",
-                now,
-                src="fleet",
-                span_id=self.telemetry.new_span_id(),
-                parent_id=0,
-                name="route",
-                cat="route",
-                start=now,
-                job_id=job.job_id,
-                cluster=index,
-            )
+        self.probe.routed(job, index, chosen)
         self.controllers[index].submit(job)
 
 

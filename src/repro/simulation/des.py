@@ -410,16 +410,8 @@ class Simulator:
         if span_id:
             # One root-level span covering the whole kernel run; ``job_id=-1``
             # keeps it out of per-job trace assembly.
-            telemetry.emit(
-                "span",
-                self._now,
-                src="kernel",
-                span_id=span_id,
-                parent_id=0,
-                name="run",
-                cat="kernel",
-                start=started_at,
-                job_id=-1,
+            telemetry.span(
+                self._now, "kernel", span_id, 0, "run", "kernel", started_at, -1,
                 events=self.processed_events - processed_before,
             )
         return self._now

@@ -6,12 +6,20 @@ DVFS transitions, kernel counters — while they are in flight, in the style
 of monotasks' ``plot_continuous_monitor``:
 
 * :class:`~repro.telemetry.hub.TelemetryHub` is the probe bus the kernel,
-  :class:`~repro.core.dias.DiASSimulation`,
-  :class:`~repro.fleet.simulation.FleetSimulation`,
-  :class:`~repro.dag.simulation.DagSimulation`, the sprinter and the shared
+  the executions, the controllers, the fault injector and the shared
   sprint-budget arbiter publish typed events to.  It is **zero-cost when
   disabled**: every probe site guards on the hub's ``enabled`` flag before
   building the event payload, and a hub with no sinks is disabled.
+  :meth:`~repro.telemetry.hub.TelemetryHub.span` is the one definition of a
+  causal ``span`` event.
+* :class:`~repro.telemetry.lifecycle.LifecycleProbe` reports the controller's
+  state machine: :class:`~repro.core.dias.DiASSimulation` (and the DAG
+  controller that subclasses it) and
+  :class:`~repro.fleet.simulation.FleetSimulation` make one probe call per
+  transition — admitted, routed, dispatched, evicted, completed, fault
+  restart, sprint on/off/denied — and the probe publishes its event and owns
+  the job, queue-wait, attempt and sprint spans.  The executions emit their
+  own wave, stage, task and fault spans; the kernel emits its run span.
 * :mod:`~repro.telemetry.sinks` holds the pluggable outputs: a JSON-lines
   file writer, a bounded in-memory ring buffer, and a callback sink, plus
   the deterministic part-file merge used by parallel runs.
@@ -26,6 +34,7 @@ of monotasks' ``plot_continuous_monitor``:
 """
 
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
+from repro.telemetry.lifecycle import LifecycleProbe
 from repro.telemetry.sampler import PeriodicSampler, kernel_sample_source
 from repro.telemetry.sinks import (
     CallbackSink,
@@ -53,6 +62,7 @@ from repro.telemetry.tracing import (
 __all__ = [
     "NULL_HUB",
     "TelemetryHub",
+    "LifecycleProbe",
     "PeriodicSampler",
     "kernel_sample_source",
     "CallbackSink",

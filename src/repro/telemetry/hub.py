@@ -19,8 +19,8 @@ constraints, in order of importance:
 
 Span tracing rides on the same bus behind a second flag: probe sites that
 build causal ``span`` events guard on ``tracing`` (off by default, and off
-for plain ``--telemetry`` runs), and the hub hands out deterministic span ids
-via :meth:`new_span_id`.  Because ids come from a per-hub counter and events
+for plain ``--telemetry`` runs), publish them through :meth:`span`, and take
+deterministic span ids from :meth:`new_span_id`.  Because ids come from a per-hub counter and events
 carry only simulated time, a span stream is as reproducible as any other
 telemetry stream.
 """
@@ -132,6 +132,38 @@ class TelemetryHub:
         self.events_emitted += 1
         for write in self._writes:
             write(fields)
+
+    def span(
+        self,
+        time: float,
+        src: str,
+        span_id: int,
+        parent_id: int,
+        name: str,
+        cat: str,
+        start: float,
+        job_id: int,
+        **extra: Any,
+    ) -> None:
+        """Publish one causal ``span`` event closing at ``time``.
+
+        The one definition of a span's fields: ``start`` is its begin,
+        ``parent_id`` 0 marks a root, and ``extra`` carries per-kind
+        attribution (outcome, sprinted seconds, stage index, ...).  Ids come
+        from :meth:`new_span_id`, allocated when the span opens.
+        """
+        if not self.enabled:
+            return
+        extra["t"] = time if time.__class__ is float else float(time)
+        extra["kind"] = "span"
+        extra["src"] = src
+        extra["span_id"] = span_id
+        extra["parent_id"] = parent_id
+        extra["name"] = name
+        extra["cat"] = cat
+        extra["start"] = start
+        extra["job_id"] = job_id
+        self.emit_event(extra)
 
     def emit_event(self, event: Dict[str, Any]) -> None:
         """Publish a pre-built event dict (``t``/``kind``/``src`` included).

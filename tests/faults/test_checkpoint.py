@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.policies import SchedulingPolicy
 from repro.engine.cluster import Cluster
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
+    arrived_count,
     attach_dias_checkpointing,
     dias_state,
     load_checkpoint,
@@ -47,6 +49,16 @@ def _fleet(scenario: FleetScenario, seed: int = 11, **kwargs) -> FleetSimulation
         faults=SPEC,
         **kwargs,
     )
+
+
+def test_arrived_count_counts_arrivals_tied_at_now():
+    jobs = [SimpleNamespace(arrival_time=t) for t in (1.0, 2.0, 2.0, 2.0, 5.0)]
+    assert arrived_count(jobs, 0.5) == 0
+    assert arrived_count(jobs, 1.0) == 1
+    assert arrived_count(jobs, 2.0) == 4
+    assert arrived_count(jobs, 4.999) == 4
+    assert arrived_count(jobs, 5.0) == 5
+    assert arrived_count([], 5.0) == 0
 
 
 def test_save_load_round_trip(tmp_path):
