@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 
-def dropped_task_seconds(job: Any, plan: Any) -> float:
+def _dropped_task_seconds(job: Any, plan: Any) -> float:
     """Slot-seconds of task work the drop plan sheds (for span attribution).
 
     Stages absent from the plan's kept-index maps keep all their tasks and
@@ -185,7 +185,7 @@ class LifecycleProbe:
         spans.attempt += 1
         attempt_id = spans.attempt_id = hub.new_span_id()
         spans.attempt_start = now
-        dropped_seconds = dropped_task_seconds(job, plan)
+        dropped_seconds = _dropped_task_seconds(job, plan)
         if dropped_seconds > 0.0:
             kept = sum(len(idx) for idx in plan.kept_map_indices.values()) + sum(
                 len(idx) for idx in plan.kept_reduce_indices.values()
