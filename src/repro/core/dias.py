@@ -24,8 +24,8 @@ The controller is the one DiAS mechanism in the code base.  The DAG
 controller (:class:`~repro.dag.simulation.DagSimulation`) subclasses it and
 replaces only the policy-shaped pieces: how a job's drop plan is made
 (:meth:`DiASSimulation._plan_drops`), which execution runs it
-(:meth:`DiASSimulation._make_execution`), extra attempt-span fields, the
-``run_start`` fields and the result type.
+(:meth:`DiASSimulation._make_execution`), the ``run_start`` fields and the
+result type.
 """
 
 from __future__ import annotations
@@ -221,10 +221,7 @@ class DiASSimulation:
                 on_sprint_denied=self._on_sprint_denied,
             )
         #: Reports every lifecycle transition as events and spans.
-        self.probe = LifecycleProbe(
-            telemetry, self.telemetry_src, self.sim, self.cluster,
-            self._attempt_span_fields,
-        )
+        self.probe = LifecycleProbe(telemetry, self.telemetry_src, self.sim, self.cluster)
 
         #: Optional fault injector; ``None`` keeps every hot path on the
         #: historical branch (fault injection is zero-cost when disabled).
@@ -499,10 +496,6 @@ class DiASSimulation:
             faults=self.faults,
             on_give_up=self._on_task_exhausted if self.faults is not None else None,
         )
-
-    def _attempt_span_fields(self, execution: Execution) -> Dict[str, Any]:
-        """Extra fields of a closing ``attempt`` span (none for MapReduce)."""
-        return {}
 
     # --------------------------------------------------------------- events
     def _make_arrival_callback(self, job: Job):

@@ -36,7 +36,7 @@ import math
 from bisect import insort
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.dag.analytics import (
     CriticalPathAnalysis,
@@ -310,6 +310,19 @@ class DagExecution(Execution):
     def lower_bound_makespan(self) -> float:
         """Setup plus the critical-path/work lower bound on the kept tasks."""
         return self._setup_time + self.analysis.lower_bound_makespan
+
+    def attempt_span_fields(self) -> Dict[str, Any]:
+        """PERT predictions so reports can compare observed and predicted paths.
+
+        ``cp`` is the predicted critical path, ``cp_len`` its length and
+        ``lb`` the lower-bound makespan.
+        """
+        analysis = self.analysis
+        return {
+            "cp": ",".join(str(i) for i in analysis.critical_path),
+            "cp_len": analysis.critical_path_length,
+            "lb": self.lower_bound_makespan,
+        }
 
     def stage_run(self, index: int) -> StageRun:
         """Runtime state of stage ``index``.

@@ -15,8 +15,9 @@ specific to DAGs:
 * the execution — each job is a :class:`~repro.dag.graph.DagJob` run by a
   :class:`~repro.dag.execution.DagExecution`, whose pluggable stage scheduler
   (or external decision hook) chooses which ready stage gets free slots;
-* PERT predictions on attempt spans, per-job critical-path analytics, the
-  ``run_start`` fields and the :class:`DagSimulationResult`;
+* per-job critical-path analytics, the ``run_start`` fields and the
+  :class:`DagSimulationResult` (the execution adds its PERT predictions to
+  its attempt span);
 * streaming arrivals from a lazy ``job_source`` through an
   :class:`~repro.simulation.des.ArrivalPump`.
 
@@ -231,19 +232,6 @@ class DagSimulation(DiASSimulation):
             ),
             decision_hook=self._decision_hook,
         )
-
-    def _attempt_span_fields(self, execution: DagExecution) -> Dict[str, Any]:
-        """PERT predictions so reports can compare observed and predicted paths.
-
-        ``cp`` is the predicted critical path, ``cp_len`` its length and
-        ``lb`` the lower-bound makespan.
-        """
-        analysis = execution.analysis
-        return {
-            "cp": ",".join(str(i) for i in analysis.critical_path),
-            "cp_len": analysis.critical_path_length,
-            "lb": execution.lower_bound_makespan,
-        }
 
     def _on_complete(self, execution: DagExecution) -> None:
         # Critical-path stretch, accumulated in completion order; streaming

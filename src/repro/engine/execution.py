@@ -26,7 +26,7 @@ Section 4.2 models (``⌈tasks/slots⌉`` waves when task times are similar).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.engine.job import Job, effective_task_count
@@ -215,6 +215,10 @@ class Execution:
     @property
     def speed(self) -> float:
         return self._speed
+
+    def attempt_span_fields(self) -> Dict[str, Any]:
+        """Extra fields of this attempt's closing span (none for MapReduce)."""
+        return {}
 
     # ---------------------------------------------------------------- control
     def start(self, speed: Optional[float] = None) -> None:

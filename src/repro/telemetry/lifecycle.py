@@ -22,7 +22,7 @@ a sink attached after the controller was built still sees every transition.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 
 def _dropped_task_seconds(job: Any, plan: Any) -> float:
@@ -87,26 +87,18 @@ class LifecycleProbe:
     cluster:
         The controller's cluster (speeds for DVFS events, slots for the
         drop span's salvaged time).  The fleet's probe has none.
-    attempt_fields:
-        Called with an execution whose attempt span closes; returns extra
-        span fields (the DAG controller's PERT predictions).
+
+    The probe holds no reference to its controller, so a finished
+    controller is freed by reference counting alone.
     """
 
-    __slots__ = ("hub", "src", "sim", "cluster", "attempt_fields", "_jobs")
+    __slots__ = ("hub", "src", "sim", "cluster", "_jobs")
 
-    def __init__(
-        self,
-        hub: Any,
-        src: str,
-        sim: Any,
-        cluster: Any = None,
-        attempt_fields: Optional[Callable[[Any], Dict[str, Any]]] = None,
-    ) -> None:
+    def __init__(self, hub: Any, src: str, sim: Any, cluster: Any = None) -> None:
         self.hub = hub
         self.src = src
         self.sim = sim
         self.cluster = cluster
-        self.attempt_fields = attempt_fields
         self._jobs: Dict[int, _JobSpans] = {}
 
     # ------------------------------------------------------------ arrivals
@@ -262,14 +254,13 @@ class LifecycleProbe:
             )
 
     def _close_attempt(self, execution: Any, spans: _JobSpans, outcome: str) -> None:
-        fields = self.attempt_fields(execution) if self.attempt_fields else {}
         self.hub.span(
             self.sim.now, self.src, spans.attempt_id, spans.job, "attempt",
             "attempt", spans.attempt_start, execution.job.job_id,
             attempt=spans.attempt,
             outcome=outcome,
             sprinted=execution.sprinted_time,
-            **fields,
+            **execution.attempt_span_fields(),
         )
         spans.attempt_id = 0
 

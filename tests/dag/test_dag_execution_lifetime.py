@@ -5,7 +5,9 @@ callback refers back to its execution.  That reference cycle must be broken
 when the execution completes or is evicted; otherwise every finished
 execution (with its stage runs and task records) stays on the heap until the
 cyclic garbage collector happens to run.  These runs disable the collector,
-so any execution still reachable afterwards is held by a cycle.
+so any execution still reachable afterwards is held by a cycle.  The same
+holds for a finished controller that has no sprinter or fault injector (their
+callbacks are bound to it): nothing else may refer back to it.
 """
 
 from __future__ import annotations
@@ -80,3 +82,26 @@ def test_finished_executions_are_freed_without_the_cycle_collector(case):
     if case == "DiAS":
         assert result.sprinted_seconds > 0.0
     assert alive == []
+
+
+@pytest.mark.parametrize("case", ["DA", "P"])
+def test_a_finished_controller_is_freed_without_the_cycle_collector(case):
+    scenario = dag_layered_scenario(num_jobs=10)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        simulation = DagSimulation(
+            jobs=scenario.generate_trace(seed=4),
+            cluster=scenario.cluster,
+            seed=4,
+            **CASES[case],
+        )
+        assert simulation.run().completed_jobs == 10
+        ref = weakref.ref(simulation)
+        del simulation
+        alive = ref() is not None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not alive
