@@ -5,9 +5,9 @@ hashes what it leaves behind: the telemetry JSONL (samples and spans) where
 telemetry is on, the Chrome-trace export where there is one, and a result
 summary (the CLI report, or every headline number of the result object with
 floats written exactly).  Most runs stream telemetry; the ``unobserved`` ones
-run with it off, because an unobserved DAG attempt takes a different path
-through :class:`~repro.dag.execution.DagExecution`.  A refactor of the controller, the executions or
-the arrival path must leave every digest unchanged.  A change that alters a
+run with it off, because an unobserved attempt, DAG or MapReduce, takes a
+different path through its execution.  A refactor of the controller, the
+executions or the arrival path must leave every digest unchanged.  A change that alters a
 digest on purpose must say why in ``CHANGES.md`` and update :data:`GOLDEN`;
 ``python tests/integration/test_golden_runs.py`` prints the current digests.
 
@@ -23,7 +23,7 @@ import io
 import json
 import os
 import tempfile
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import pytest
 
@@ -104,6 +104,11 @@ CLI_RUNS: Dict[str, list] = {
     # No telemetry and no trace; preemption evicts two attempts.
     "dag-P-unobserved": [
         "dag", "--policy", "P", "--num-jobs", "40", "--seed", "5",
+    ],
+    # MapReduce attempts with no telemetry and no trace; ``P`` evicts.
+    "compare-unobserved": [
+        "compare", "--scenario", "reference", "--policies", "P", "NP",
+        "DA(0/20)", "--num-jobs", "60",
     ],
 }
 
@@ -226,7 +231,10 @@ def _dag_job_source(hub: TelemetryHub) -> DagSimulation:
     )
 
 
-def _dias_sprinting(hub: TelemetryHub) -> DiASSimulation:
+def _dias_sprinting(
+    hub: TelemetryHub,
+    faults: Optional[str] = "stragglers:p=0.1,slowdown=3;taskfail:p=0.05,retries=1",
+) -> DiASSimulation:
     scenario = reference_two_priority_scenario(num_jobs=60)
     return DiASSimulation(
         policy=_sprinting_policy(),
@@ -234,8 +242,14 @@ def _dias_sprinting(hub: TelemetryHub) -> DiASSimulation:
         cluster=scenario.cluster,
         seed=8,
         telemetry=hub,
-        faults="stragglers:p=0.1,slowdown=3;taskfail:p=0.05,retries=1",
+        faults=faults,
     )
+
+
+def _dias_sprinting_no_faults(hub: TelemetryHub) -> DiASSimulation:
+    """Sprints start, run out of budget and are denied in the middle of a
+    phase, so an in-flight speed change meets every kind of attempt."""
+    return _dias_sprinting(hub, faults=None)
 
 
 def _fleet_faults(hub: TelemetryHub) -> FleetSimulation:
@@ -253,6 +267,21 @@ def _fleet_faults(hub: TelemetryHub) -> FleetSimulation:
     )
 
 
+def _fleet_shared_streaming(hub: TelemetryHub) -> FleetSimulation:
+    """Shared sprint budget and fleet-wide streaming metrics, no faults."""
+    scenario = fleet_two_priority_scenario(num_clusters=3, num_jobs_per_cluster=20)
+    return FleetSimulation(
+        policy=_sprinting_policy(),
+        jobs=scenario.generate_trace(seed=4),
+        clusters=scenario.make_clusters(),
+        dispatcher="jsq",
+        sprint_budget="shared",
+        seed=4,
+        telemetry=hub,
+        streaming_metrics=True,
+    )
+
+
 API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "dag-sprinting-api": _dag_sprinting,
     "dag-job-source-api": _dag_job_source,
@@ -264,12 +293,15 @@ API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
 UNOBSERVED_API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "dag-sprinting-unobserved": _dag_sprinting,
     "dag-job-source-unobserved": _dag_job_source,
+    "dias-sprinting-unobserved": _dias_sprinting_no_faults,
+    "fleet-shared-streaming-unobserved": _fleet_shared_streaming,
 }
 
 #: Digests recorded before the DAG controller became a DiAS subclass; the
 #: ``dag-srw`` and ``dag-widest`` runs before the stage schedulers got sort keys;
 #: ``compare-faults-traced`` before the executions shared one lifecycle base;
-#: the ``unobserved`` runs before unobserved DAG attempts left the per-task path.
+#: the ``dag-*-unobserved`` runs before unobserved DAG attempts left the
+#: per-task path; the other ``unobserved`` runs before MapReduce attempts did.
 GOLDEN: Dict[str, str] = {
     "dag-cpfirst-traced-sampled": "4a266be1d8140b26a5a428fb8ae69cb123073fab14be091e8aba0a8e180753b1",
     "dag-srw-traced-sampled": "85d1e47f3789178268bc03a02cf5ef8e95202b6fc8e63b5d935743a3cab52be0",
@@ -287,6 +319,9 @@ GOLDEN: Dict[str, str] = {
     "dag-P-unobserved": "70d47f4fe8835585912bd5d15a3046bc91faf48e2c729e2904de06142dc9f303",
     "dag-sprinting-unobserved": "e68247e1433cc77dd34720bc9cd05ac8a64f39090b65bea58f00be5c02d3060e",
     "dag-job-source-unobserved": "22e75951b1ccb1cf7b1d11dbd4f8a889211d242dec42978d847b95d2e813e6cd",
+    "compare-unobserved": "69633d66154c74d969c503d3a1a7b38b72a0bfb3fb61e0218f79fb79dafe4041",
+    "dias-sprinting-unobserved": "57630748a151bc0f10eb17835243fc2dd5eef474108b1786b4a845db90a975be",
+    "fleet-shared-streaming-unobserved": "5c3ae7e42663ae5a91d336d17501b3aed7a78600c57f5a25751fdcd831601deb",
 }
 
 
