@@ -55,6 +55,20 @@ from repro.telemetry import (
     TelemetryHub,
     kernel_sample_source,
 )
+from repro.telemetry.sampler import emit_sample
+
+
+class DuplicateJobError(ValueError):
+    """A job arrived while another job with the same id was still in flight."""
+
+    def __init__(self, job_id: int, arrival_time: float) -> None:
+        super().__init__(
+            f"job id {job_id} arrived at t={arrival_time!r} while a job with "
+            "the same id is still in flight; job ids must be unique among "
+            "unfinished jobs"
+        )
+        self.job_id = job_id
+        self.arrival_time = arrival_time
 
 
 @dataclass(frozen=True)
@@ -282,7 +296,7 @@ class DiASSimulation:
         """Read-only state snapshot published by periodic telemetry samplers.
 
         Must not mutate anything (notably: it reads the energy meter via
-        :meth:`~repro.engine.energy.EnergyMeter.projected_joules`, never
+        :meth:`~repro.engine.energy.EnergyMeter.projected_joules_at`, never
         ``advance``) so that sampled runs produce bit-identical results to
         unsampled ones.
         """
@@ -290,7 +304,7 @@ class DiASSimulation:
         # Python frames: the buffers keep the per-priority depth fields
         # current, and integer counters stay integers (the schema admits any
         # number).  The clock fields start as placeholders so that they keep
-        # their place in the key order.
+        # their place in the key order; ``telemetry_derive`` fills them in.
         meter = self.energy_meter
         buffers = self.buffers
         sample: Dict[str, float] = {
@@ -305,48 +319,56 @@ class DiASSimulation:
         if self.tracks_backlog:
             sample["work_left"] = 0.0
         sample.update(buffers.depth_row)
-        return self._clock_fields(sample, self.sim.now)
+        return self.telemetry_derive(sample, (self.sim.now,))[0]
 
-    def telemetry_derive(self, previous: Dict[str, float], now: float) -> Dict[str, float]:
-        """:meth:`telemetry_sample` at ``now``, given the sample ``previous``.
+    def telemetry_derive(
+        self, previous: Dict[str, float], times: Sequence[float]
+    ) -> List[Dict[str, float]]:
+        """:meth:`telemetry_sample` at each of ``times``, given the sample
+        ``previous``: copies of it with ``t`` and the fields that move with
+        the clock filled in (the one definition of those fields).
 
-        Valid only while no event has fired since ``previous`` was taken (see
-        :class:`~repro.telemetry.sampler.PeriodicSampler`): only the fields
-        that move with the clock are recomputed.
-        """
-        return self._clock_fields(previous.copy(), now)
-
-    def _clock_fields(self, sample: Dict[str, float], now: float) -> Dict[str, float]:
-        """Fill the sample fields that move with the clock (one definition).
-
+        Valid only while no event fires between ``previous`` and the last of
+        ``times`` (see :class:`~repro.telemetry.sampler.PeriodicSampler`).
         ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit (zeros and
         NaN included) without a builtin call; this runs on every tick.
         """
-        busy = self.metrics.occupied_time
-        if self._running is not None:
-            elapsed = now - self._running_started_at
-            busy += elapsed if elapsed > 0.0 else 0.0
-            if self.tracks_backlog:
-                left = self._running_estimate - elapsed
-                sample["work_left"] = self._queued_work + (left if left > 0.0 else 0.0)
-        elif self.tracks_backlog:
-            sample["work_left"] = self._queued_work
-        sample["utilisation"] = (busy / now) if now > 0 else 0.0
-        sample["energy_joules"] = self.energy_meter.projected_joules(now)
-        return sample
+        occupied = self.metrics.occupied_time
+        running = self._running is not None
+        started = self._running_started_at
+        estimate = self._running_estimate
+        queued = self._queued_work
+        tracks_backlog = self.tracks_backlog
+        rows = []
+        for now, energy in zip(times, self.energy_meter.projected_joules_at(times)):
+            row = previous.copy()
+            busy = occupied
+            if running:
+                elapsed = now - started
+                busy += elapsed if elapsed > 0.0 else 0.0
+                if tracks_backlog:
+                    left = estimate - elapsed
+                    row["work_left"] = queued + (left if left > 0.0 else 0.0)
+            elif tracks_backlog:
+                row["work_left"] = queued
+            row["utilisation"] = (busy / now) if now > 0 else 0.0
+            row["energy_joules"] = energy
+            row["t"] = now
+            rows.append(row)
+        return rows
 
-    def work_left(self) -> float:
+    def work_left(self, now: Optional[float] = None) -> float:
         """Estimated slot-seconds of service remaining (buffered + running).
 
         Buffered jobs count their wave-approximation service time under the
         policy's drop ratio; the running job counts its estimate minus the
-        time it has already been executing.  Used by least-work-left routing.
-        Always 0 for controllers that do not track the backlog
-        (``tracks_backlog = False``).
+        time it has been executing by ``now`` (default: the current simulated
+        time).  Used by least-work-left routing.  Always 0 for controllers
+        that do not track the backlog (``tracks_backlog = False``).
         """
         remaining = self._queued_work
         if self._running is not None:
-            elapsed = self.sim.now - self._running_started_at
+            elapsed = (self.sim.now if now is None else now) - self._running_started_at
             remaining += max(0.0, self._running_estimate - elapsed)
         return remaining
 
@@ -395,6 +417,7 @@ class DiASSimulation:
                 # crash/repair renewal process here or the heap never empties.
                 self.faults.stop()
         telemetry = self.telemetry
+        kernel = None
         if telemetry.enabled:
             telemetry.emit(
                 "run_start",
@@ -410,7 +433,6 @@ class DiASSimulation:
                     telemetry.sample_interval,
                     sources=[
                         (self.telemetry_src, self.telemetry_sample, self.telemetry_derive),
-                        ("kernel", kernel, kernel.derive),
                     ],
                     should_continue=lambda: self._completed < self._drain_target,
                 )
@@ -418,6 +440,9 @@ class DiASSimulation:
         self.sim.run(until=until)
         result = self.finalize()
         if telemetry.enabled:
+            if kernel is not None:
+                # The kernel's totals, once per run (see the sampler module).
+                emit_sample(telemetry, self.sim.now, "kernel", kernel())
             telemetry.emit(
                 "run_end",
                 self.sim.now,
@@ -505,10 +530,11 @@ class DiASSimulation:
         return _callback
 
     def _on_arrival(self, job: Job) -> None:
-        # Per-job bookkeeping lives from the first arrival to completion; a
-        # reused job id (hand-built traces) shares the entry still in flight.
-        if job.job_id not in self._job_state:
-            self._job_state[job.job_id] = {"wasted": 0.0, "evictions": 0}
+        # Per-job bookkeeping lives from the arrival to the completion, keyed
+        # by job id, so an id may be reused only once its job has finished.
+        if job.job_id in self._job_state:
+            raise DuplicateJobError(job.job_id, self.sim.now)
+        self._job_state[job.job_id] = {"wasted": 0.0, "evictions": 0}
         self.probe.admitted(job)
         self.buffers.push(job)
         if self.tracks_backlog:
@@ -562,9 +588,7 @@ class DiASSimulation:
         self.cluster.set_sprinting(False)
         job = execution.job
         self.probe.evicted(execution, wasted, restart)
-        # setdefault: hand-built traces may reuse job ids, and a duplicate's
-        # bookkeeping can already have been popped by the first completion.
-        state = self._job_state.setdefault(job.job_id, {"wasted": 0.0, "evictions": 0})
+        state = self._job_state[job.job_id]
         state["wasted"] += wasted
         state["evictions"] += 1
         self._total_evictions += 1
@@ -580,12 +604,8 @@ class DiASSimulation:
         self.cluster.set_sprinting(False)
         job = execution.job
         plan = self._running_plan
-        # Pop per-job bookkeeping so long streaming replays stay bounded; the
-        # default covers duplicated job ids in hand-built traces, where the
-        # first completion already popped the shared entry.
-        state = self._job_state.pop(job.job_id, None)
-        if state is None:
-            state = {"wasted": 0.0, "evictions": 0}
+        # Pop per-job bookkeeping so long streaming replays stay bounded.
+        state = self._job_state.pop(job.job_id)
         self._service_estimates.pop(job.job_id, None)
         effective_drop = plan.effective_drop_ratio if plan is not None else 0.0
         record = JobRecord(

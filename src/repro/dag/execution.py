@@ -14,20 +14,14 @@ of :class:`~repro.engine.execution.Execution` — DVFS rescaling, eviction and
 fault recovery — so the DiAS controller machinery (sprinter, energy meter,
 preemptive baseline) drives DAG jobs unchanged.
 
-**Private runs.**  An attempt that nobody observes — no fault injector, a
-disabled telemetry hub and no decision hook — changes only when the
-controller sprints it or evicts it.  Until then its schedule is
-deterministic list scheduling, so :meth:`DagExecution.start` runs it to the
-end at once on a private ``(time, seq)`` heap of task ends and gives the
-kernel a single event, at the attempt's end, instead of one per task.  The
-private run calls the same activation, pick and stage-completion code as the
-per-task path, with the same float expressions and tie order, so the
-attempt ends at the same instant to the bit.  ``evict`` cancels that one
-event.  A real speed change *materialises* the attempt: the private run is
-replayed from the start up to now, its in-flight tasks become ordinary
-per-task events, and the rest of the attempt runs per task.  Kernel event
-counts therefore fall on such runs; observed runs keep the per-task path,
-because their probes fire at task and stage instants.
+**Private runs.**  An unobserved attempt — no fault injector, a disabled
+telemetry hub and no decision hook — runs privately (see
+:mod:`repro.engine.execution`): :meth:`DagExecution.start` runs it to the end
+at once on a private ``(time, seq)`` heap of task ends.  The private run
+calls the same activation, pick and stage-completion code as the per-task
+path, with the same float expressions and tie order.  Any enabled hub keeps
+a DAG attempt per task, because ``stage_scheduled`` is emitted at each stage
+activation and would come out of time order from inside ``start``.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from heapq import heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.dag.analytics import (
@@ -47,17 +41,16 @@ from repro.dag.analytics import (
 from repro.dag.graph import DagJob, DagStage
 from repro.dag.schedulers import StageScheduler, make_stage_scheduler
 from repro.engine.cluster import Cluster
-from repro.engine.execution import Execution, _ActiveTask
+from repro.engine.execution import Execution, _ActiveTask, _dispatch_seq
 from repro.engine.job import effective_task_count
 from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
-from repro.simulation.des import Event, Simulator
+from repro.simulation.des import Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
 #: Sentinel slot key for the job-level setup task.
 _SETUP_SLOT = -1
 
 _position = attrgetter("position")
-_dispatch_seq = itemgetter(1)
 
 
 class StageRun:
@@ -283,8 +276,6 @@ class DagExecution(Execution):
         self._private: Optional[List[tuple]] = None
         self._clock = 0.0
         self._dispatched = 0
-        #: The one kernel event of a privately run attempt, at its end.
-        self._end_event: Optional[Event] = None
 
     @staticmethod
     def _kept(
@@ -385,14 +376,7 @@ class DagExecution(Execution):
         # is deterministic list scheduling, so run it to the end now and
         # give the kernel one event, at the end.
         self._run_private(math.inf, True)
-        if self._dispatched:
-            self._end_event = self.sim.schedule_at(
-                self._clock, self._on_private_end, priority=1
-            )
-        else:
-            # Nothing to run: the attempt ends inside ``start``, as it does
-            # on the per-task path.
-            self._finish()
+        self._end_privately_at(self._clock if self._dispatched else None)
 
     def _enter(self) -> None:
         """Start the setup task, or the source stages when there is none."""
@@ -594,19 +578,7 @@ class DagExecution(Execution):
         self._private = None
         return heap
 
-    def _on_private_end(self, _sim: Simulator) -> None:
-        self._end_event = None
-        self._finish()
-
-    def _materialise(self) -> None:
-        """Hand a privately run attempt to the kernel, one event per task.
-
-        The private run is replayed from the attempt's start up to now.  Its
-        in-flight tasks become ordinary ``_ActiveTask`` entries in dispatch
-        order, and the rest of the attempt runs per task.
-        """
-        self._end_event.cancel()
-        self._end_event = None
+    def _materialise(self, inclusive: bool) -> None:
         for run in self._runs.values():
             run.reset()
         self._frontier = []
@@ -614,37 +586,10 @@ class DagExecution(Execution):
         self._remaining_stages = len(self._runs)
         self._free_slots = list(range(self.cluster.slots))
         sim = self.sim
-        in_flight = self._run_private(sim.now, self._ties_fired())
+        in_flight = self._run_private(sim.now, inclusive)
         for time, _seq, slot, run in sorted(in_flight, key=_dispatch_seq):
             callback = self._on_setup_done if run is None else self._task_callback(slot)
             self._active[slot] = _ActiveTask(
                 slot, sim.schedule_at(time, callback, priority=1), self._speed,
                 stage_run=run,
             )
-
-    def _ties_fired(self) -> bool:
-        """Whether the per-task events that end now would already have fired.
-
-        Those are priority-1 events scheduled after the attempt started, and
-        not by the running callback, since every task takes positive time.
-        So they have fired if the running event has priority 2 or more (a
-        sprint timer) or no event is running (a call between two kernel
-        runs).  They have not if it has priority 0 (an arrival) or 1, which
-        is taken to sort first: the DAG controller's only priority-1 events
-        are attempt and task ends, and those reach ``set_speed`` only by
-        starting an attempt.
-        """
-        priority = self.sim.running_priority
-        return priority is None or priority > 1
-
-    # --------------------------------------------------------------- control
-    def set_speed(self, speed: float) -> None:
-        if self._end_event is not None and speed != self._speed:
-            self._materialise()
-        super().set_speed(speed)
-
-    def evict(self) -> float:
-        if self._end_event is not None:
-            self._end_event.cancel()
-            self._end_event = None
-        return super().evict()

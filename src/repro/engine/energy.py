@@ -10,6 +10,7 @@ mode (``idle``, ``busy``, ``sprint``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.simulation.metrics import EnergyAccount
 
@@ -113,16 +114,25 @@ class EnergyMeter:
         }
 
     def projected_joules(self, now: float) -> float:
-        """Total joules as of ``now`` without advancing the meter.
+        """Total joules as of ``now`` without advancing the meter."""
+        return self.projected_joules_at((now,))[0]
 
-        The scalar core of :meth:`snapshot`, exposed separately so per-tick
-        telemetry samplers can fill their event dict directly instead of
-        paying an intermediate dict + update per sample.
+    def projected_joules_at(self, times: Sequence[float]) -> List[float]:
+        """Total joules as of each of ``times``, without advancing the meter.
+
+        The scalar core of :meth:`snapshot`, for a whole gap between two
+        events at once, so that a telemetry sampler reads the meter once
+        per gap rather than once per tick.
         """
-        elapsed = now - self._last_time
-        # ``max(0.0, elapsed)`` bit for bit, without a builtin call.
-        pending = (elapsed if elapsed > 0.0 else 0.0) * self._watts
-        return self.account.total_joules + pending
+        total = self.account.total_joules
+        last = self._last_time
+        watts = self._watts
+        joules = []
+        for now in times:
+            elapsed = now - last
+            # ``max(0.0, elapsed)`` bit for bit, without a builtin call.
+            joules.append(total + (elapsed if elapsed > 0.0 else 0.0) * watts)
+        return joules
 
     @property
     def total_joules(self) -> float:

@@ -21,11 +21,33 @@ shuffle, and the reduce tasks.  Task phases run their tasks on the cluster's
 ``C`` computing slots, which naturally produces the wave behaviour the paper's
 Section 4.2 models (``⌈tasks/slots⌉`` waves when task times are similar).
 :class:`~repro.dag.execution.DagExecution` runs a DAG job's stage frontier.
+
+**Private runs.**  An attempt that nobody observes changes only when the
+controller sprints it or evicts it.  Until then its schedule is list
+scheduling of known task times on ``C`` slots, so its end is fixed when it
+starts: the execution computes it inside :meth:`Execution.start` and gives
+the kernel one event, at the end, instead of one per task.  ``evict``
+cancels that event.  A real speed change *materialises* the attempt: the run
+is replayed from its start up to now, with the kernel's tie order, its
+in-flight tasks become ordinary per-task events, and the rest of the attempt
+runs per task.  Both executions compute their ends with the same float
+operations, in the same order, as their per-task paths, so a private attempt
+ends at the same instant to the bit; only kernel event counts fall.
+
+An attempt is *observed*, and stays on the per-task path, when it runs under
+a fault injector (faults are drawn per task) or when the hub traces (task
+spans are emitted per task).  A sampling hub does not observe a MapReduce
+attempt, because an untraced ``JobExecution`` publishes nothing per task.  A
+DAG attempt is stricter: any enabled hub or a decision hook observes it,
+because it emits ``stage_scheduled`` at each stage activation and consults
+the hook at each pick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.cluster import Cluster
@@ -106,6 +128,10 @@ def build_phases(
                 ExecutionPhase("reduce", stage.index, reduce_durations, parallel=True)
             )
     return phases
+
+
+#: Sort key of ``(end, dispatch seq, ...)`` private heap entries.
+_dispatch_seq = itemgetter(1)
 
 
 @dataclass(slots=True)
@@ -198,6 +224,8 @@ class Execution:
         self._speed = 1.0
         self._speed_since: Optional[float] = None
         self.sprinted_time = 0.0
+        #: The one kernel event of a privately run attempt, at its end.
+        self._end_event: Optional[Event] = None
 
     # --------------------------------------------------------------- queries
     @property
@@ -227,6 +255,9 @@ class Execution:
             raise RuntimeError("execution already started")
         self.started = True
         self.start_time = self.sim.now
+        #: The kernel's executed-event count and run state at the start
+        #: (see ``_ties_fired``).
+        self._start_mark = (self.sim.processed_events, self.sim._running)
         self._speed = float(speed) if speed is not None else self.cluster.speed
         self._speed_since = self.sim.now
         self._free_slots = (
@@ -240,6 +271,10 @@ class Execution:
         """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
         if speed <= 0:
             raise ValueError("speed must be positive")
+        if self._end_event is not None and speed != self._speed:
+            self._end_event.cancel()
+            self._end_event = None
+            self._materialise(self._ties_fired())
         if not self.running:
             self._speed = float(speed)
             self._speed_since = self.sim.now
@@ -266,6 +301,9 @@ class Execution:
         """Cancel all in-flight work; returns the wasted wall time of the attempt."""
         if not self.running:
             raise RuntimeError("cannot evict an execution that is not running")
+        if self._end_event is not None:
+            self._end_event.cancel()
+            self._end_event = None
         now = self.sim.now
         self._accumulate_sprint(now)
         if self.telemetry.tracing:
@@ -362,6 +400,57 @@ class Execution:
         """The ``attempt`` field of the ``fault.retry`` event after ``attempt``
         failed (the failed attempt here; see ``telemetry/schema.py``)."""
         return attempt
+
+    def _materialise(self, inclusive: bool) -> None:
+        """Hand a privately run attempt to the kernel, one event per task.
+
+        Replay the attempt from its start up to now: task ends before now
+        take effect, and so do those at now itself when ``inclusive``.  The
+        tasks still in flight become ``_ActiveTask`` entries in dispatch
+        order, and the rest of the attempt runs per task.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------ private run
+    def _end_privately_at(self, end: Optional[float]) -> None:
+        """Give the kernel the one event of a privately run attempt.
+
+        ``end`` is ``None`` when the attempt has no task to run: it then ends
+        inside ``start``, as it does on the per-task path.
+        """
+        if end is None:
+            self._finish()
+        else:
+            self._end_event = self.sim.schedule_at(
+                end, self._on_private_end, priority=1
+            )
+
+    def _on_private_end(self, _sim: Simulator) -> None:
+        self._end_event = None
+        self._finish()
+
+    def _ties_fired(self) -> bool:
+        """Whether the per-task events that end now would already have fired.
+
+        Those are priority-1 events.  None has fired if the call comes from
+        the event that started the attempt: a task that takes no time (a
+        MapReduce setup of length 0) is still pending.  That is when no
+        event has run since the start and the kernel is in the same state,
+        running or not.  (An attempt started between two kernel runs and
+        sped up at its start instant, after a run that stopped there, is
+        taken the same way, although that run fired its tasks that took no
+        time.)  Otherwise they have fired if the running event has priority
+        2 or more (a sprint timer or budget exhaustion) or no event is
+        running (a call between two kernel runs).  They have not if it has
+        priority 0 (an arrival) or 1, which is taken to sort first: the
+        controllers' only priority-1 events are attempt and task ends, and
+        those reach ``set_speed`` only by starting an attempt.
+        """
+        sim = self.sim
+        if (sim.processed_events, sim._running) == self._start_mark:
+            return False
+        priority = sim.running_priority
+        return priority is None or priority > 1
 
     # -------------------------------------------------------------- internals
     def _accumulate_sprint(self, now: float) -> None:
@@ -546,6 +635,11 @@ class JobExecution(Execution):
 
     @property
     def current_phase(self) -> Optional[ExecutionPhase]:
+        """The phase running now (``None`` before the start and after the end).
+
+        A privately run attempt has no current phase until it materialises
+        (see the module docstring).
+        """
         if 0 <= self._phase_index < len(self.phases):
             return self.phases[self._phase_index]
         return None
@@ -580,7 +674,85 @@ class JobExecution(Execution):
 
     # ------------------------------------------------------------- phases
     def _begin(self) -> None:
-        self._advance_phase()
+        if self._faults is not None or self.telemetry.tracing:
+            self._advance_phase()
+            return
+        # Unobserved: until a speed change, eviction or the end, the attempt
+        # is list scheduling, so compute its end now and give the kernel one
+        # event, at the end.
+        self._phase_index = len(self.phases)
+        self._end_privately_at(self._private_end())
+
+    def _private_end(self) -> Optional[float]:
+        """The end of an undisturbed attempt, ``None`` if it runs no task.
+
+        The same float operations, in the same order, as the per-task path:
+        a parallel phase hands each task, in order, to the slot that frees
+        first and ends when its last slot frees; a serial phase sums.  When
+        a phase fits on the slots at once, its end is the start plus its
+        longest task, because a float sum never decreases in an addend.
+        """
+        speed = self._speed
+        slots = self.cluster.slots
+        end = self.start_time
+        ran = False
+        for phase in self.phases:
+            durations = phase.durations
+            if not durations:
+                continue
+            ran = True
+            if not phase.parallel or len(durations) == 1:
+                for duration in durations:
+                    end = end + duration / speed
+            elif len(durations) <= slots:
+                end = end + max(durations) / speed
+            else:
+                free = [end] * slots
+                for duration in durations:
+                    heapreplace(free, free[0] + duration / speed)
+                end = max(free)
+        return end if ran else None
+
+    def _materialise(self, inclusive: bool) -> None:
+        sim = self.sim
+        until = sim.now
+        speed = self._speed
+        slots = self.cluster.slots
+        clock = self.start_time
+        for index, phase in enumerate(self.phases):
+            if not phase.durations:
+                continue
+            parallel = phase.parallel
+            pending = phase.durations[::-1]
+            free = list(range(slots))
+            # (end, dispatch seq, slot): the seq breaks ties as the kernel's
+            # sequence numbers do among this attempt's own task events.
+            heap: List[tuple] = []
+            for seq in range(min(slots if parallel else 1, len(pending))):
+                heappush(heap, (clock + pending.pop() / speed, seq, free.pop()))
+            seq = len(heap)
+            while heap:
+                end, _seq, slot = heap[0]
+                if end > until or (end == until and not inclusive):
+                    self._phase_index = index
+                    self._pending = pending
+                    self._parallel = parallel
+                    self._free_slots = free
+                    for end, _seq, slot in sorted(heap, key=_dispatch_seq):
+                        self._active[slot] = _ActiveTask(
+                            slot,
+                            sim.schedule_at(end, self._task_callback(slot), priority=1),
+                            speed,
+                        )
+                    return
+                heappop(heap)
+                clock = end
+                if pending and (parallel or not heap):
+                    heappush(heap, (end + pending.pop() / speed, seq, slot))
+                    seq += 1
+                else:
+                    free.append(slot)
+        raise RuntimeError("a privately run attempt outlived its end event")
 
     def _advance_phase(self) -> None:
         if self._phase_span is not None:

@@ -17,6 +17,7 @@ given seed, independent of the routing policy being compared.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.dias import DiASSimulation, DropRatioDecision
@@ -31,7 +32,7 @@ from repro.fleet.result import FleetResult
 from repro.models.accuracy import AccuracyModel
 from repro.simulation.decisions import ROUTE, DecisionHook, DecisionPoint
 from repro.simulation.des import ArrivalPump, Simulator
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import JobRecord, MetricsCollector
 from repro.simulation.random_streams import RandomStreams
 from repro.telemetry import (
     NULL_HUB,
@@ -40,6 +41,10 @@ from repro.telemetry import (
     TelemetryHub,
     kernel_sample_source,
 )
+from repro.telemetry.sampler import emit_sample
+
+#: Sort key of held ``(cluster index, record)`` pairs.
+_cluster_index = itemgetter(0)
 
 
 class FleetSimulation:
@@ -211,9 +216,13 @@ class FleetSimulation:
                     faults=self.fault_spec,
                 )
             )
+        #: ``(cluster index, record)`` of the jobs that finished at the
+        #: current instant, fed to :attr:`shared_metrics` in cluster order
+        #: once the clock moves (see :meth:`_hold_record`).
+        self._held_records: List[tuple] = []
         if self.shared_metrics is not None:
-            for controller in self.controllers:
-                controller.on_job_record = self.shared_metrics.record_job
+            for index, controller in enumerate(self.controllers):
+                controller.on_job_record = self._record_holder(index)
 
         sprinters = [c.sprinter for c in self.controllers if c.sprinter is not None]
         self.budget_pool: Optional[SharedSprintBudget] = build_budget_arbiter(
@@ -256,6 +265,7 @@ class FleetSimulation:
                     controller.faults.start()
         completion_hooks: List[Callable[[], None]] = []
         telemetry = self.telemetry
+        kernel = None
         if telemetry.enabled:
             telemetry.emit(
                 "run_start",
@@ -274,7 +284,6 @@ class FleetSimulation:
                 ]
                 sources.append(("fleet", self._telemetry_sample, self._telemetry_derive))
                 kernel = kernel_sample_source(self.sim)
-                sources.append(("kernel", kernel, kernel.derive))
                 sampler = PeriodicSampler(
                     self.sim,
                     telemetry,
@@ -322,6 +331,9 @@ class FleetSimulation:
                     controller.faults.stop()
         self.sim.run(until=until)
         if telemetry.enabled:
+            if kernel is not None:
+                # The kernel's totals, once per run (see the sampler module).
+                emit_sample(telemetry, self.sim.now, "kernel", kernel())
             telemetry.emit(
                 "run_end",
                 self.sim.now,
@@ -331,6 +343,7 @@ class FleetSimulation:
             )
         results = [controller.finalize() for controller in self.controllers]
         if self.shared_metrics is not None:
+            self._flush_records()
             self.shared_metrics.set_observation_time(self.sim.now)
         return FleetResult(
             policy_name=self.policy.name,
@@ -341,6 +354,37 @@ class FleetSimulation:
             budget_mode=self.budget_mode,
             shared_metrics=self.shared_metrics,
         )
+
+    # --------------------------------------------------------------- metrics
+    def _record_holder(self, index: int) -> Callable[[JobRecord], None]:
+        def hold(record: JobRecord) -> None:
+            self._hold_record(index, record)
+
+        return hold
+
+    def _hold_record(self, index: int, record: JobRecord) -> None:
+        """Queue a finished job's record for the fleet-wide collector.
+
+        Jobs on different clusters that finish at the same instant complete
+        in kernel-sequence order, which depends on how many events each
+        attempt used.  A streaming collector is order-sensitive (its P²
+        quantiles), so records of one instant go in by cluster index, and
+        in completion order within a cluster.  The collector is read only
+        after the run, which flushes the last instant.
+        """
+        held = self._held_records
+        if held and held[0][1].completion_time != record.completion_time:
+            self._flush_records()
+        held.append((index, record))
+
+    def _flush_records(self) -> None:
+        held = self._held_records
+        if len(held) > 1:
+            held.sort(key=_cluster_index)
+        record_job = self.shared_metrics.record_job
+        for _index, record in held:
+            record_job(record)
+        held.clear()
 
     # ------------------------------------------------------------- telemetry
     def _completed_jobs(self) -> int:
@@ -447,11 +491,16 @@ class FleetSimulation:
             ),
         }
 
-    def _telemetry_derive(self, previous: dict, now: float) -> dict:
-        """The fleet sample at ``now`` with no event since ``previous``."""
-        sample = previous.copy()
-        sample["work_left"] = sum(c.work_left() for c in self.controllers)
-        return sample
+    def _telemetry_derive(self, previous: dict, times: List[float]) -> List[dict]:
+        """The fleet samples at ``times`` with no event since ``previous``."""
+        controllers = self.controllers
+        rows = []
+        for now in times:
+            row = previous.copy()
+            row["work_left"] = sum(c.work_left(now) for c in controllers)
+            row["t"] = now
+            rows.append(row)
+        return rows
 
     # ---------------------------------------------------------------- events
     def _make_routing_callback(self, job: Job):

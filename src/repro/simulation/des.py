@@ -43,8 +43,9 @@ Design notes
 * **Virtual events.**  :meth:`Simulator.try_virtual_event` lets a caller
   account an event that would be the very next one popped without touching
   the heap: the clock and sequence counter move exactly as a schedule plus
-  pop would move them.  The periodic telemetry sampler uses it to emit the
-  ticks that fall in a gap between two heap entries.
+  pop would move them.  :meth:`Simulator.virtual_ticks` accounts a whole
+  run of evenly spaced ones at once; the periodic telemetry sampler uses it
+  for the ticks that fall in a gap between two heap entries.
 * The kernel knows nothing about jobs, priorities or energy; it only runs
   callbacks at simulated times.  :class:`ArrivalPump` is the one helper that
   sits on top: it feeds a lazy, arrival-ordered source (anything whose items
@@ -310,6 +311,31 @@ class Simulator:
         self._seq += 1
         self._now = time
         return True
+
+    def virtual_ticks(self, start: float, interval: float, priority: int) -> List[float]:
+        """Account the ticks ``start + interval``, ``+ interval``, ... that
+        :meth:`try_virtual_event` would accept one after another.
+
+        Virtual events leave the heap as it is, so the first tick it would
+        refuse ends the run of ticks.  Returns their times, built by repeated
+        addition, in one call instead of one per tick.
+        """
+        times: List[float] = []
+        if self._stopped:
+            return times
+        horizon = self._horizon
+        heap = self._heap
+        top_time, top_priority = (heap[0][0], heap[0][1]) if heap else (math.inf, 0)
+        now = start + interval
+        while now <= horizon and (
+            now < top_time or (now == top_time and top_priority > priority)
+        ):
+            times.append(now)
+            now += interval
+        if times:
+            self._seq += len(times)
+            self._now = times[-1]
+        return times
 
     # -------------------------------------------------------------- execution
     def peek_time(self) -> Optional[float]:

@@ -178,6 +178,21 @@ class TelemetryHub:
         for write in self._writes:
             write(event)
 
+    def emit_events(self, events: List[Dict[str, Any]]) -> None:
+        """Publish pre-built event dicts in order (see :meth:`emit_event`)."""
+        if not self.enabled:
+            return
+        self.events_emitted += len(events)
+        writes = self._writes
+        if len(writes) == 1:
+            write = writes[0]
+            for event in events:
+                write(event)
+            return
+        for event in events:
+            for write in writes:
+                write(event)
+
 
 class _NullTelemetryHub(TelemetryHub):
     """The shared disabled hub; refuses sinks so it can never be enabled.

@@ -264,12 +264,6 @@ def render_report(
             ascii_rate_plot(drop_t, drop_w, width, height,
                             label="Drop rate (dropped tasks per sim-second)")
         )
-    rate_t, rate_v = sample_series(events, "events_per_simsec", src="kernel")
-    if rate_t:
-        sections.append(
-            ascii_plot(rate_t, rate_v, width, height,
-                       label="Kernel event rate (events per sim-second)")
-        )
     if any(e["kind"] == "span" for e in events):
         from repro.telemetry.spans import spans_from_events
         from repro.telemetry.tracing import span_summary_rows

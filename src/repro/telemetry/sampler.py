@@ -3,13 +3,18 @@
 A :class:`PeriodicSampler` snapshots one or more *sources* every ``interval``
 simulated seconds and publishes each snapshot as a ``sample`` event.  Sources
 are ``(src_label, sample)`` or ``(src_label, sample, derive)`` tuples:
-``sample()`` returns a fresh flat dict of numeric fields, and the optional
-``derive(previous, t)`` returns the sample at time ``t`` given the source's
-previous event, on the promise that no event has fired in between (see gap
-batching below).  The built-in :func:`kernel_sample_source` exposes the DES
+``sample()`` returns a fresh flat dict of numeric fields, and
+``derive(previous, times)`` returns the source's sample events at each of
+``times``, given its event ``previous``, on the promise that no event fires
+in between (see gap batching below).  Every source has one: a source passed
+without it uses its sample callable's ``derive`` attribute if there is one,
+and otherwise is taken not to move between events (its rows are copies of
+``previous``).  The built-in :func:`kernel_sample_source` exposes the DES
 kernel's counters (processed/pending/scheduled events, heap compactions and
 the event rate per simulated second) and carries its derive form as
-``.derive``.
+``.derive``.  The controllers publish it once per run, at the run's end,
+not per tick: its counters follow how many events the engine uses, not the
+state of the simulated system.
 
 These properties matter for correctness:
 
@@ -21,21 +26,23 @@ These properties matter for correctness:
 * **Gap batching.**  The cost of sampling should follow state changes, not
   ticks.  When a tick fires, every later tick that sorts strictly before the
   heap's top entry (and is not past the run's ``until``) would see frozen
-  state, so the sampler emits those ticks in a loop right away, with no heap
-  push or pop.  Each such tick is a *virtual* kernel event
-  (:meth:`~repro.simulation.des.Simulator.try_virtual_event`): the kernel
-  moves its clock and sequence counter exactly as a heap tick would, so
-  ``processed_events``, ``scheduled_events`` and ``pending_events`` read the
-  same as without batching, and so does everything that consumes sequence
-  numbers later.  A virtual tick asks each source for its derive form, which
-  recomputes only the fields that move with the clock (the controller's
-  ``utilisation``, ``energy_joules`` and ``work_left``; the kernel's
-  processed/scheduled counts, one more each, and its event rate) with the
-  same float expressions as a full sample; a source without one is sampled
-  in full.  Sample streams are therefore byte-identical to unbatched ones.
+  state.  The sampler accounts them as *virtual* kernel events
+  (:meth:`~repro.simulation.des.Simulator.virtual_ticks`), which move the
+  clock and sequence counter exactly as heap ticks would, so every
+  kernel counter and everything that consumes sequence numbers later read
+  the same as without batching.  Then it makes one derive call per source
+  for all the gap's ticks and emits the rows interleaved by tick, in source
+  order.  A derive form recomputes only the fields that move with the clock
+  (the controller's ``utilisation``, ``energy_joules`` and ``work_left``;
+  the kernel's processed/scheduled counts, one more per tick, and its event
+  rate) with the same float expressions as a full sample, so sample streams
+  are byte-identical to unbatched ones.  It must read the clock from
+  ``times``, never from the kernel, which already stands at the gap's last
+  tick.
 * **Termination.**  A self-rescheduling event would keep a run-to-exhaustion
   kernel alive forever, so the sampler consults ``should_continue()`` after
-  every tick and stops rescheduling once it returns False (typically "all
+  every heap tick (its answer cannot change inside a gap, where no event
+  fires) and stops rescheduling once it returns False (typically "all
   trace jobs completed").  Without an explicit predicate it falls back to
   "the heap still holds other events", which is correct for bounded runs but
   can overrun on heaps dominated by cancelled far-future events — pass a
@@ -52,7 +59,7 @@ These properties matter for correctness:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.hub import TelemetryHub
 
@@ -66,6 +73,28 @@ SAMPLE_PRIORITY = 9
 
 #: ``(src, sample)`` or ``(src, sample, derive)``; see the module docstring.
 SampleSource = Tuple[Any, ...]
+
+#: ``derive(previous, times) -> rows``: the sample events at ``times``.
+Derive = Callable[[Dict[str, Any], List[float]], List[Dict[str, Any]]]
+
+
+def _unchanged(previous: Dict[str, Any], times: List[float]) -> List[Dict[str, Any]]:
+    """The derive form of a source that does not move between events."""
+    rows = []
+    for now in times:
+        row = previous.copy()
+        row["t"] = now
+        rows.append(row)
+    return rows
+
+
+def emit_sample(hub: TelemetryHub, now: float, src: str, event: Dict[str, Any]) -> None:
+    """Publish the fresh sample dict ``event`` of ``src`` taken at ``now``."""
+    # The base fields go last, so that derived copies keep the key order.
+    event["t"] = now
+    event["kind"] = "sample"
+    event["src"] = src
+    hub.emit_event(event)
 
 
 def kernel_sample_source(sim: Simulator) -> Callable[[], Dict[str, float]]:
@@ -81,10 +110,8 @@ def kernel_sample_source(sim: Simulator) -> Callable[[], Dict[str, float]]:
     last_processed = sim.processed_events
 
     def sample() -> Dict[str, float]:
-        # Reads the kernel's private counters directly: each public property
-        # is a Python frame, and this closure runs on every heap tick of
-        # every sampled run — the properties remain the supported interface
-        # everywhere latency does not matter.
+        # Reads the kernel's private counters directly, sparing a Python
+        # frame per public property.
         nonlocal last_time, last_processed
         now = sim._now
         heap_size = len(sim._heap)
@@ -102,20 +129,27 @@ def kernel_sample_source(sim: Simulator) -> Callable[[], Dict[str, float]]:
             "events_per_simsec": (delta / elapsed) if elapsed > 0 else 0.0,
         }
 
-    def derive(previous: Dict[str, float], now: float) -> Dict[str, float]:
-        # One virtual tick since ``previous``: one more event scheduled and
-        # processed, nothing else moved.
+    def derive(previous: Dict[str, float], times: List[float]) -> List[Dict[str, float]]:
+        # One virtual tick per time: one more event scheduled and processed
+        # each, nothing else moved.
         nonlocal last_time, last_processed
-        processed = previous["processed_events"] + 1
-        elapsed = now - last_time
-        delta = processed - last_processed
-        last_time = now
-        last_processed = processed
-        event = previous.copy()
-        event["processed_events"] = processed
-        event["scheduled_events"] = previous["scheduled_events"] + 1
-        event["events_per_simsec"] = (delta / elapsed) if elapsed > 0 else 0.0
-        return event
+        processed = previous["processed_events"]
+        scheduled = previous["scheduled_events"]
+        rows = []
+        for now in times:
+            processed += 1
+            scheduled += 1
+            elapsed = now - last_time
+            delta = processed - last_processed
+            last_time = now
+            last_processed = processed
+            row = previous.copy()
+            row["processed_events"] = processed
+            row["scheduled_events"] = scheduled
+            row["events_per_simsec"] = (delta / elapsed) if elapsed > 0 else 0.0
+            row["t"] = now
+            rows.append(row)
+        return rows
 
     sample.derive = derive  # type: ignore[attr-defined]
     return sample
@@ -139,9 +173,14 @@ class PeriodicSampler:
         self.sim = sim
         self.hub = hub
         self.interval = float(interval)
-        #: ``(src, sample, derive or None)`` per source.
-        self.sources = [
-            (source[0], source[1], source[2] if len(source) > 2 else None)
+        #: ``(src, sample, derive)`` per source.
+        self.sources: List[Tuple[str, Callable[[], Dict[str, Any]], Derive]] = [
+            (
+                source[0],
+                source[1],
+                source[2] if len(source) > 2
+                else getattr(source[1], "derive", _unchanged),
+            )
             for source in sources
         ]
         self.should_continue = should_continue
@@ -174,67 +213,48 @@ class PeriodicSampler:
             self._pending = None
 
     # ------------------------------------------------------------- internals
-    def _sample(self) -> None:
+    def _sample(self) -> List[Dict[str, Any]]:
+        """Sample every source in full now; returns the events emitted."""
         now = self.sim.now
         emit_event = self.hub.emit_event
+        events = []
         for src, fn, _derive in self.sources:
-            # Sources return a fresh flat dict per call; fill in the base
-            # fields and hand it straight to the hub instead of paying a
-            # kwargs copy per sample (samples dominate telemetry streams).
+            # As in ``emit_sample``, inlined: this runs on every heap tick.
             event = fn()
             event["t"] = now
             event["kind"] = "sample"
             event["src"] = src
             emit_event(event)
+            events.append(event)
         self.samples_taken += 1
+        return events
 
     def _tick(self, sim: Simulator) -> None:
         self._pending = None
         if self._stopped:
             return
-        # A heap tick takes a full sample, then emits the ticks of the gap
-        # up to the next heap entry as virtual events from derive forms.
-        # The loop is inlined rather than split into helpers: ticks fire for
-        # the whole run on every sampled simulation, and each saved Python
-        # frame is measurable in the telemetry overhead benchmark.
-        now = sim.now
-        emit_event = self.hub.emit_event
-        sources = self.sources
-        previous = []
-        for src, fn, _derive in sources:
-            event = fn()
-            event["t"] = now
-            event["kind"] = "sample"
-            event["src"] = src
-            emit_event(event)
-            previous.append(event)
-        self.samples_taken += 1
+        # A heap tick takes a full sample, accounts the ticks of the gap up
+        # to the next heap entry as virtual events, then derives their rows
+        # with one call per source.
+        previous = self._sample()
         should_continue = self.should_continue
-        interval = self.interval
-        while (
+        if not (
             should_continue()
             if should_continue is not None
             # The tick itself was already popped, so any remaining entry is
             # other work (possibly cancelled; see module docstring).
             else sim.pending_events > 0
         ):
-            now += interval
-            if not sim.try_virtual_event(now, SAMPLE_PRIORITY):
-                self._pending = sim.schedule(
-                    interval, self._tick, priority=SAMPLE_PRIORITY
-                )
-                return
-            for i, (src, fn, derive) in enumerate(sources):
-                if derive is None:
-                    event = fn()
-                    event["t"] = now
-                    event["kind"] = "sample"
-                    event["src"] = src
-                else:
-                    # A copy of the previous event: the base fields keep
-                    # their place in the key order.
-                    event = derive(previous[i], now)
-                    event["t"] = now
-                emit_event(event)
-                previous[i] = event
-            self.samples_taken += 1
+            return
+        times = sim.virtual_ticks(sim.now, self.interval, SAMPLE_PRIORITY)
+        if times:
+            columns = [
+                derive(event, times)
+                for (_src, _fn, derive), event in zip(self.sources, previous)
+            ]
+            self.hub.emit_events(
+                columns[0] if len(columns) == 1
+                else [row for rows in zip(*columns) for row in rows]
+            )
+            self.samples_taken += len(times)
+        self._pending = sim.schedule(self.interval, self._tick, priority=SAMPLE_PRIORITY)

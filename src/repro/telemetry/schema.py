@@ -12,6 +12,21 @@ still catching malformed producers.
 validates a whole JSONL stream and reports the offending line on failure.
 The CI bench-smoke job runs ``repro inspect --validate`` over a short fleet
 run's telemetry to keep producers and schema from drifting apart.
+
+Migration notes
+---------------
+* **Kernel samples once per run.**  ``sample`` events with ``src ==
+  "kernel"`` (``processed_events``, ``pending_events``,
+  ``scheduled_events``, ``heap_compactions``, ``events_per_simsec``) used to
+  come at every sampler tick.  Since MapReduce attempts, like DAG ones, can
+  run privately with one kernel event per attempt, those counters track how
+  the engine is built rather than the simulated system, so the controllers
+  now publish one such row per run, at its end, right before ``run_end``;
+  its ``events_per_simsec`` covers the whole run.  Every other event is
+  unchanged, line for line.  A reader that plotted the kernel rows over time
+  should read the one row instead; ``repro inspect`` no longer draws the
+  kernel event-rate plot.  The event kinds and fields are unchanged, so
+  older streams still validate.
 """
 
 from __future__ import annotations

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import pytest
 
-import math
-
 from repro.core.config import SprintConfig
-from repro.core.dias import DiASSimulation, DropRatioDecision, run_policy
+from repro.core.dias import (
+    DiASSimulation,
+    DropRatioDecision,
+    DuplicateJobError,
+    run_policy,
+)
 from repro.core.policies import SchedulingPolicy
 from repro.dag.graph import DagJob, DagStage, StageDAG
 from repro.dag.simulation import DagSimulation
@@ -15,7 +21,8 @@ from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.job import Job, StageSpec
 from repro.engine.profiles import JobClassProfile
 from repro.models.accuracy import AccuracyModel
-from repro.workloads.scenarios import HIGH, LOW
+from repro.telemetry import NULL_HUB, CallbackSink, TelemetryHub
+from repro.workloads.scenarios import HIGH, LOW, reference_two_priority_scenario
 
 
 def profile_for(priority: int) -> JobClassProfile:
@@ -247,17 +254,56 @@ def make_dag_job(job_id: int, priority: int, arrival: float, task_time: float = 
                   dag=StageDAG([stage]), profile=profile_for(priority))
 
 
-@pytest.mark.parametrize("controller, make", [(DiASSimulation, make_job),
-                                              (DagSimulation, make_dag_job)],
-                         ids=["DiASSimulation", "DagSimulation"])
-def test_duplicate_job_ids_are_tolerated(controller, make):
-    # Hand-built traces (e.g. two generated halves concatenated) can reuse
-    # job ids; completion bookkeeping must not assume ids are unique even
-    # though it pops per-job state to keep streaming replays bounded.
-    jobs = [make(0, LOW, arrival=0.0), make(0, LOW, arrival=1.0),
-            make(0, HIGH, arrival=2.0)]
+CONTROLLERS = pytest.mark.parametrize(
+    "controller, make",
+    [(DiASSimulation, make_job), (DagSimulation, make_dag_job)],
+    ids=["DiASSimulation", "DagSimulation"],
+)
+
+
+@CONTROLLERS
+def test_a_job_id_still_in_flight_cannot_arrive_again(controller, make):
+    # Per-job bookkeeping (and the lifecycle probe's spans) are keyed by job
+    # id, so a second arrival of an unfinished job's id is an input error.
+    jobs = [make(0, LOW, arrival=0.0), make(0, LOW, arrival=1.0)]
+    simulation = controller(SchedulingPolicy.preemptive_priority(), jobs=jobs,
+                            cluster=small_cluster())
+    with pytest.raises(DuplicateJobError, match=r"job id 0 arrived at t=1\.0") as info:
+        simulation.run()
+    assert isinstance(info.value, ValueError)
+    assert (info.value.job_id, info.value.arrival_time) == (0, 1.0)
+
+
+@CONTROLLERS
+def test_a_job_id_can_be_reused_once_its_job_finished(controller, make):
+    jobs = [make(0, LOW, arrival=0.0), make(1, HIGH, arrival=1.0),
+            make(0, HIGH, arrival=500.0)]
     result = controller(SchedulingPolicy.preemptive_priority(), jobs=jobs,
                         cluster=small_cluster()).run()
     assert result.metrics.job_count == 3
     assert result.completed_jobs == 3
-    assert result.evictions >= 1
+    assert result.evictions == 1
+
+
+def _reused_in_flight_id():
+    """Job 2 takes job 1's id and arrives 2 s after it, while it still runs."""
+    jobs = reference_two_priority_scenario(num_jobs=6).generate_trace(seed=0)
+    jobs[2] = replace(jobs[2], job_id=jobs[1].job_id,
+                      arrival_time=jobs[1].arrival_time + 2.0)
+    return sorted(jobs, key=lambda job: job.arrival_time), jobs[1]
+
+
+@pytest.mark.parametrize("tracing", [False, True], ids=["null-hub", "tracing-hub"])
+def test_the_duplicate_id_reproduction_fails_alike_on_every_hub(tracing):
+    """Untraced, this run used to complete; traced, it raised ``KeyError``."""
+    jobs, first = _reused_in_flight_id()
+    hub = NULL_HUB
+    if tracing:
+        hub = TelemetryHub(tracing=True)
+        hub.add_sink(CallbackSink(lambda event: None))
+    simulation = DiASSimulation(SchedulingPolicy.preemptive_priority(), jobs=jobs,
+                                seed=0, telemetry=hub)
+    with pytest.raises(DuplicateJobError) as info:
+        simulation.run()
+    assert info.value.job_id == first.job_id
+    assert info.value.arrival_time == first.arrival_time + 2.0

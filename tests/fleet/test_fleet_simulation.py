@@ -212,3 +212,47 @@ def test_dispatcher_returning_invalid_index_is_rejected():
     )
     with pytest.raises(ValueError):
         fleet.run()
+
+
+def _cross_cluster_tie_trace():
+    """Two jobs on different clusters that end at the same instant, 32.0.
+
+    Job A (40 maps of 10 s) starts first but dispatches its last task
+    last; job B (10 maps of 19.984375 s) starts 0.015625 s later with all
+    its tasks at once.  Per task, their ends complete in last-dispatch
+    order (B, A); run privately, in attempt-start order (A, B).  Eight
+    one-task jobs finish earlier, so the P² estimators are past their
+    exact warm-up when the tie arrives.
+    """
+    profile = JobClassProfile(priority=LOW, partitions=1, reduce_tasks=0,
+                              shuffle_time=0.0, setup_time_full=12.0,
+                              setup_time_min=12.0)
+
+    def job(job_id, arrival, times):
+        return Job(job_id, LOW, arrival, 10.0, [StageSpec(0, times, [], 0.0)], profile)
+
+    jobs = [job(i, 0.0, [1.0]) for i in range(8)]
+    jobs.append(job(8, 0.0, [10.0] * 40))
+    jobs.append(job(9, 0.015625, [19.984375] * 10))
+    return jobs
+
+
+@pytest.mark.parametrize("streaming", [True, False], ids=["streaming", "batch"])
+def test_same_instant_ends_on_different_clusters_report_alike_traced_or_not(streaming):
+    from repro.telemetry import NULL_HUB, CallbackSink, TelemetryHub
+
+    summaries = []
+    for tracing in (False, True):
+        hub = NULL_HUB
+        if tracing:
+            hub = TelemetryHub(tracing=True)
+            hub.add_sink(CallbackSink(lambda event: None))
+        fleet = FleetSimulation(
+            SchedulingPolicy.non_preemptive_priority(), _cross_cluster_tie_trace(),
+            num_clusters=10, dispatcher="round_robin", telemetry=hub,
+            streaming_metrics=streaming,
+        )
+        result = fleet.run()
+        assert result.duration == 32.0
+        summaries.append(result.summary())
+    assert summaries[0] == summaries[1]

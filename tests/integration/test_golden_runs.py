@@ -297,25 +297,26 @@ UNOBSERVED_API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "fleet-shared-streaming-unobserved": _fleet_shared_streaming,
 }
 
-#: Digests recorded before the DAG controller became a DiAS subclass; the
-#: ``dag-srw`` and ``dag-widest`` runs before the stage schedulers got sort keys;
-#: ``compare-faults-traced`` before the executions shared one lifecycle base;
-#: the ``dag-*-unobserved`` runs before unobserved DAG attempts left the
-#: per-task path; the other ``unobserved`` runs before MapReduce attempts did.
+#: The runs that write telemetry were re-recorded when the kernel's counters
+#: left the periodic samples for one row at the run's end;
+#: ``golden_stream_diff.py`` checks such a change against the parent tree.
+#: The ``dag-*-unobserved`` runs were recorded before unobserved DAG attempts
+#: left the per-task path, and the other ``unobserved`` runs before MapReduce
+#: attempts did.
 GOLDEN: Dict[str, str] = {
-    "dag-cpfirst-traced-sampled": "4a266be1d8140b26a5a428fb8ae69cb123073fab14be091e8aba0a8e180753b1",
-    "dag-srw-traced-sampled": "85d1e47f3789178268bc03a02cf5ef8e95202b6fc8e63b5d935743a3cab52be0",
-    "dag-widest-traced-sampled": "1a7355cd81c78b72345490ee347340961c378a136661d6f896d0b86cf92de0dd",
-    "dag-slack-faults": "53c0ef9151afb0a9cb91e4ef558326cba2859ca3255bfd818af28da29e8524fb",
-    "dag-P-restart": "84181cffdd5bc9c7a7ae8c7e1a0a6d94da6a2392c150d330e215325ea5d8ad7d",
-    "compare-traced": "d690a37f2192fc7bd00e04695a91d868233322739e05b7bb016d25cc3c552cdc",
-    "compare-faults-traced": "6000f0e0a33dd2aea1baa07a0a469acc0423d2747eb468262d123e1fb6440080",
-    "fleet-jsq-sampled": "8db87773b43936f5e216a9d329a03e4cc0df7d1283e9e11cca8de7e79a3bebef",
-    "fleet-least-work-left": "09eed86d3437807906d7c3caafac002eb33fff241513dc060987263554192f56",
-    "dag-sprinting-api": "41455588e8eaa6b4b77a780178cf4a05f16cf134c2cf444bfe2aee88c489a842",
-    "dag-job-source-api": "b60b2f676c80ab6f1dc98c2512fc7bd4e2e65d48bb1a85a5d5caa08381da7f58",
-    "dias-sprinting-api": "744128f6d1078d40d573113cf245ed02c5c74c44cd98b0d993ed77b246a66186",
-    "fleet-faults-api": "fa392b571f6e727e7d179050ce939cca96f2c0c362aa4884ad45f88ddd58e09a",
+    "dag-cpfirst-traced-sampled": "f9484b67ff5fe6038e5399fd6963ea5e66ec91a9d52b42bc50009f3ea817065a",
+    "dag-srw-traced-sampled": "3251122c194ae313df3d348ce7a7da0235f7901943c800b1b69a08ff547a0a76",
+    "dag-widest-traced-sampled": "7d7e83e8ec9a0667946fef0ee89db4c68db9f02ee857b5e2d5f0e432745360f2",
+    "dag-slack-faults": "1622af583e1c23b067a9511b42ce5ce551727f01d2857e4203f3c382ce57b0e3",
+    "dag-P-restart": "f25919c4955b2cecbe3b7e201a5a6b580a34f4c8eff6bea6e3c09f7fd3820b27",
+    "compare-traced": "90a04016df9e3abad409b7550a388403789e138428108236c15150f03f40b47b",
+    "compare-faults-traced": "43f1c3a8e6b4f96b494a170de0401850232d21d71e30a506077bb105ddc7e084",
+    "fleet-jsq-sampled": "8542021f63fbe3dcc9c4fc5dbe414eb8495621006fa3c8eafd9d0dc0f55da9eb",
+    "fleet-least-work-left": "ad7b830c8e339726a21c4b2b8cbac9e213ff15f2783832dc2bd0a66a28b8a4e5",
+    "dag-sprinting-api": "830652414ce50f114db2c6254c520e007bd322040dd70cd7396f5ee2db7948d3",
+    "dag-job-source-api": "68e28de1c0c657f3185e7e1fcf85ad788d25b7f3e9150f06ced2c13cecc88422",
+    "dias-sprinting-api": "5d3d9a65e74f8a5cee8a9d28d9d57dc80afbf119cf5b7b5e78d7f07a810e6245",
+    "fleet-faults-api": "69c83bcd06a16517ae9785ada02b9060f55cf8c78e50130ae0b2bad7dba33690",
     "dag-P-unobserved": "70d47f4fe8835585912bd5d15a3046bc91faf48e2c729e2904de06142dc9f303",
     "dag-sprinting-unobserved": "e68247e1433cc77dd34720bc9cd05ac8a64f39090b65bea58f00be5c02d3060e",
     "dag-job-source-unobserved": "22e75951b1ccb1cf7b1d11dbd4f8a889211d242dec42978d847b95d2e813e6cd",

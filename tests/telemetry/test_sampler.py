@@ -110,3 +110,51 @@ def test_sampler_validates_arguments():
     sampler.start()
     with pytest.raises(RuntimeError):
         sampler.start()
+
+
+def test_a_gap_costs_one_derive_call_per_source_and_rows_interleave_by_tick():
+    sim = Simulator()
+    hub, ring = _hub_with_ring()
+    calls = []
+
+    def source(name):
+        def sample():
+            return {"value": 0.0}
+
+        def derive(previous, times):
+            calls.append((name, list(times)))
+            return [dict(previous, t=t, value=float(t)) for t in times]
+
+        return (name, sample, derive)
+
+    sim.schedule(4.5, lambda s: None)
+    sampler = PeriodicSampler(sim, hub, 1.0, sources=[source("a"), source("b")])
+    sampler.start()
+    sim.run()
+    # The tick at 1.0 is a heap event; 2.0-4.0 sort before the event at 4.5.
+    assert calls == [("a", [2.0, 3.0, 4.0]), ("b", [2.0, 3.0, 4.0])]
+    rows = [(e["t"], e["src"]) for e in ring.events if e["kind"] == "sample"]
+    assert rows == [
+        (0.0, "a"), (0.0, "b"), (1.0, "a"), (1.0, "b"),
+        (2.0, "a"), (2.0, "b"), (3.0, "a"), (3.0, "b"), (4.0, "a"), (4.0, "b"),
+        (5.0, "a"), (5.0, "b"),
+    ]
+    assert sampler.samples_taken == 6
+
+
+def test_a_source_without_a_derive_form_is_taken_as_unchanged_in_a_gap():
+    sim = Simulator()
+    hub, ring = _hub_with_ring()
+    reads = []
+
+    def sample():
+        reads.append(sim.now)
+        return {"value": 1.0}
+
+    sim.schedule(3.5, lambda s: None)
+    PeriodicSampler(sim, hub, 1.0, sources=[("x", sample)]).start()
+    sim.run()
+    assert reads == [0.0, 1.0, 4.0]
+    samples = [e for e in ring.events if e["kind"] == "sample"]
+    assert [e["t"] for e in samples] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert all(e["value"] == 1.0 and e["src"] == "x" for e in samples)

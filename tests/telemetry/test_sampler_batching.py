@@ -220,13 +220,18 @@ def test_dag_run(monkeypatch):
 def test_run_until_inside_a_gap(monkeypatch):
     build = _dias(SchedulingPolicy.non_preemptive_priority(), utilisation=0.3)
     # Stop the run halfway between two ticks of an idle stretch (three
-    # samples with only ticks in between) in the middle of the run.
+    # samples with only ticks in between) in the middle of the run.  The
+    # cluster is idle at all three and no job arrived or finished between
+    # the first and the third.
     full = _both(monkeypatch, build)
-    kernel = [json.loads(line) for line in full[1][1] if '"src": "kernel"' in line]
+    events = [json.loads(line) for line in full[1][1]]
+    samples = [e for e in events if e["kind"] == "sample" and e["src"] == "dias"]
     stretches = [
         second["t"] + 0.5 * (third["t"] - second["t"])
-        for first, second, third in zip(kernel, kernel[1:], kernel[2:])
-        if third["processed_events"] - first["processed_events"] == 2
+        for first, second, third in zip(samples, samples[1:], samples[2:])
+        if first["running"] == second["running"] == third["running"] == 0.0
+        and first["completed_jobs"] == third["completed_jobs"]
+        and first["queue_depth"] == third["queue_depth"]
     ]
     assert len(stretches) > 2, "the trace has no idle stretch"
     until = stretches[len(stretches) // 2]
@@ -338,3 +343,32 @@ def test_run_span_counts_virtual_events(tracing):
         assert spans[0]["events"] == sim.processed_events == 1 + sampler.samples_taken - 1
     else:
         assert spans == []
+
+
+@pytest.mark.parametrize("until", [None, 4.25])
+def test_virtual_ticks_equal_repeated_virtual_events(until):
+    """One ``virtual_ticks`` call accounts what a loop of
+    ``try_virtual_event`` calls would, stopping at the first refusal."""
+    outcomes = []
+    for batched in (False, True):
+        sim = Simulator()
+        seen = []
+
+        def probe(s, seen=seen, batched=batched):
+            if batched:
+                seen.extend(s.virtual_ticks(s.now, 0.75, SAMPLE_PRIORITY))
+                return
+            now = s.now
+            while True:
+                now += 0.75
+                if not s.try_virtual_event(now, SAMPLE_PRIORITY):
+                    return
+                seen.append(now)
+
+        sim.schedule(1.0, probe)
+        sim.schedule(5.5, lambda s: None, priority=1)
+        sim.run(until=until)
+        outcomes.append((seen, sim.now, sim.scheduled_events, sim.processed_events))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ([1.75, 2.5, 3.25, 4.0] if until else
+                              [1.75, 2.5, 3.25, 4.0, 4.75])

@@ -497,7 +497,7 @@ def test_dag_replay_runs_from_a_dag_trace(tmp_path, capsys):
     assert "10 jobs" in output
 
 
-def test_dag_replay_tolerates_a_repeated_job_id(tmp_path, capsys):
+def test_dag_replay_rejects_a_job_id_still_in_flight(tmp_path, capsys):
     import json
 
     path = tmp_path / "dag.jsonl"
@@ -508,11 +508,37 @@ def test_dag_replay_tolerates_a_repeated_job_id(tmp_path, capsys):
     record = json.loads(second)
     record["id"] = json.loads(first)["id"]
     path.write_text("\n".join([header, first, json.dumps(record), *rest]) + "\n")
-    assert main(["dag", "--replay", str(path)]) == 0
-    output = capsys.readouterr().out
-    assert "6 jobs" in output
-    completed = next(line for line in output.splitlines() if "completed_jobs" in line)
-    assert float(completed.split()[-1]) == 6.0
+    assert main(["dag", "--replay", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: job id ")
+    assert "still in flight" in err[0]
+
+
+def _cluster_csv(path, rows) -> str:
+    from repro.traces.formats import CSV_COLUMNS
+
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [f"{job_id},{arrival},1,100,4,5.0,0,0,0" for job_id, arrival in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_fleet_replay_rejects_a_job_id_still_in_flight(tmp_path, capsys):
+    trace = _cluster_csv(tmp_path / "dup.csv", [(0, 0.0), (1, 0.5), (0, 1.0)])
+    assert main(["fleet", "--replay", trace, "--clusters", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "error: job id 0 arrived at t=1.0 while a job with the same id is still "
+        "in flight; job ids must be unique among unfinished jobs"
+    ]
+
+
+def test_fleet_replay_reuses_a_job_id_once_its_job_finished(tmp_path, capsys):
+    trace = _cluster_csv(tmp_path / "reuse.csv", [(0, 0.0), (1, 0.5), (0, 100.0)])
+    assert main(["fleet", "--replay", trace, "--clusters", "1"]) == 0
+    summary = capsys.readouterr().out.split("Summary")[1]
+    completed = next(line for line in summary.splitlines() if "completed_jobs" in line)
+    assert float(completed.split()[-1]) == 3.0
 
 
 def test_list_mentions_trace_formats(capsys):
