@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -301,16 +301,12 @@ class Simulator:
         pending) reads the same.  Otherwise nothing changes and it returns
         False.
         """
-        if time > self._horizon or self._stopped:
-            return False
-        heap = self._heap
-        if heap:
-            top = heap[0]
-            if top[0] < time or (top[0] == time and top[1] <= priority):
-                return False
-        self._seq += 1
-        self._now = time
-        return True
+        bound, inclusive = self._virtual_bound(priority)
+        if time < bound or (time == bound and inclusive):
+            self._seq += 1
+            self._now = time
+            return True
+        return False
 
     def virtual_ticks(self, start: float, interval: float, priority: int) -> List[float]:
         """Account the ticks ``start + interval``, ``+ interval``, ... that
@@ -320,22 +316,30 @@ class Simulator:
         refuse ends the run of ticks.  Returns their times, built by repeated
         addition, in one call instead of one per tick.
         """
+        bound, inclusive = self._virtual_bound(priority)
         times: List[float] = []
-        if self._stopped:
-            return times
-        horizon = self._horizon
-        heap = self._heap
-        top_time, top_priority = (heap[0][0], heap[0][1]) if heap else (math.inf, 0)
         now = start + interval
-        while now <= horizon and (
-            now < top_time or (now == top_time and top_priority > priority)
-        ):
+        while now < bound or (now == bound and inclusive):
             times.append(now)
             now += interval
         if times:
             self._seq += len(times)
             self._now = times[-1]
         return times
+
+    def _virtual_bound(self, priority: int) -> Tuple[float, bool]:
+        """The latest time a virtual event at ``priority`` may take, and
+        whether that time itself is allowed (see :meth:`try_virtual_event`).
+        """
+        if self._stopped:
+            return -math.inf, False
+        horizon = self._horizon
+        heap = self._heap
+        if heap:
+            top = heap[0]
+            if top[0] <= horizon:
+                return top[0], top[1] > priority
+        return horizon, True
 
     # -------------------------------------------------------------- execution
     def peek_time(self) -> Optional[float]:
