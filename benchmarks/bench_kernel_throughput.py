@@ -64,7 +64,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# Measure the tree on PYTHONPATH when there is one (``PYTHONPATH=<tree>/src``);
+# otherwise this checkout's own ``src``.  The report names the tree measured.
+try:
+    import repro
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import repro
 
 from repro.core.policies import SchedulingPolicy  # noqa: E402
 from repro.experiments.parallel import PolicyComparisonExperiment  # noqa: E402
@@ -594,6 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         chain_events, storm_events, sim_jobs, par_jobs, repeats = 300_000, 200_000, 300, 100, 3
 
+    print(f"measuring {repro.__file__}")
     print("== DES kernel event-loop throughput (vs retained pre-PR reference) ==")
     # The off_vs_pr3 gate compares two near-identical kernels at a 5% margin;
     # best-of needs more rounds than the coarse sections to beat host noise.
@@ -656,6 +663,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     payload = {
         "benchmark": "bench_kernel_throughput",
+        "repro": repro.__file__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "platform": platform.platform(),

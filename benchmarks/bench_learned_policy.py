@@ -45,7 +45,13 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# Measure the tree on PYTHONPATH when there is one (``PYTHONPATH=<tree>/src``);
+# otherwise this checkout's own ``src``.  The report names the tree measured.
+try:
+    import repro
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import repro
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _pr9_decisions import pr9_fill_slots, pr9_route  # noqa: E402
@@ -290,6 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         dag_jobs, fleet_jobs, repeats = 25, 150, 7
 
+    print(f"measuring {repro.__file__}")
     print("== Decision-hook overhead (current hookless path vs retained PR 9) ==")
     overhead = _measure_hook_overhead(dag_jobs, fleet_jobs, repeats, args.seed)
     for name, section in overhead.items():
@@ -314,6 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     scheduling_beats_fifo = _wins(scheduling, "fifo")
     payload = {
         "benchmark": "bench_learned_policy",
+        "repro": repro.__file__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "platform": platform.platform(),

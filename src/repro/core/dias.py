@@ -266,7 +266,6 @@ class DiASSimulation:
         # unknown (infinite) until a streaming source runs dry.  Embedded
         # controllers never drain on their own; the fleet tracks its workload.
         self._drain_target: float = len(self.jobs) if self.jobs else math.inf
-        self._sampler: Optional[PeriodicSampler] = None
         # Invoked after every completion; embedders (fleet, checkpointing)
         # use it to react to end-of-workload without polling.
         self.on_job_complete: Optional[Callable[[], None]] = None
@@ -292,56 +291,47 @@ class DiASSimulation:
         """Jobs completed so far (drives sampler-termination predicates)."""
         return self._completed
 
-    def telemetry_sample(self) -> Dict[str, float]:
-        """Read-only state snapshot published by periodic telemetry samplers.
+    def telemetry_rows(self, times: Sequence[float]) -> List[Dict[str, float]]:
+        """Read-only state snapshots at each of ``times``, published by
+        periodic telemetry samplers (see
+        :class:`~repro.telemetry.sampler.PeriodicSampler`).
 
-        Must not mutate anything (notably: it reads the energy meter via
+        Valid while no event fires between now and the last of ``times``:
+        the state is read once, and only the fields that move with the clock
+        (``utilisation``, ``energy_joules``, ``work_left``) per time.  Must
+        not mutate anything (notably: it reads the energy meter via
         :meth:`~repro.engine.energy.EnergyMeter.projected_joules_at`, never
         ``advance``) so that sampled runs produce bit-identical results to
-        unsampled ones.
+        unsampled ones.  ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for
+        bit (zeros and NaN included) without a builtin call.
         """
-        # This runs on every heap tick of every sampled run, so it spares
-        # Python frames: the buffers keep the per-priority depth fields
-        # current, and integer counters stay integers (the schema admits any
-        # number).  The clock fields start as placeholders so that they keep
-        # their place in the key order; ``telemetry_derive`` fills them in.
+        # The buffers keep the per-priority depth fields current, and integer
+        # counters stay integers (the schema admits any number).  The clock
+        # fields start as placeholders so that they keep their place in the
+        # key order.
         meter = self.energy_meter
         buffers = self.buffers
-        sample: Dict[str, float] = {
+        running = self._running is not None
+        template: Dict[str, float] = {
             "utilisation": 0.0,
             "queue_depth": len(buffers),
-            "running": 1.0 if self._running is not None else 0.0,
+            "running": 1.0 if running else 0.0,
             "completed_jobs": self._completed,
             "evictions": self._total_evictions,
             "energy_joules": 0.0,
             "power_mode": meter._mode,
         }
-        if self.tracks_backlog:
-            sample["work_left"] = 0.0
-        sample.update(buffers.depth_row)
-        return self.telemetry_derive(sample, (self.sim.now,))[0]
-
-    def telemetry_derive(
-        self, previous: Dict[str, float], times: Sequence[float]
-    ) -> List[Dict[str, float]]:
-        """:meth:`telemetry_sample` at each of ``times``, given the sample
-        ``previous``: copies of it with ``t`` and the fields that move with
-        the clock filled in (the one definition of those fields).
-
-        Valid only while no event fires between ``previous`` and the last of
-        ``times`` (see :class:`~repro.telemetry.sampler.PeriodicSampler`).
-        ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` bit for bit (zeros and
-        NaN included) without a builtin call; this runs on every tick.
-        """
+        tracks_backlog = self.tracks_backlog
+        if tracks_backlog:
+            template["work_left"] = 0.0
+        template.update(buffers.depth_row)
         occupied = self.metrics.occupied_time
-        running = self._running is not None
         started = self._running_started_at
         estimate = self._running_estimate
         queued = self._queued_work
-        tracks_backlog = self.tracks_backlog
         rows = []
-        for now, energy in zip(times, self.energy_meter.projected_joules_at(times)):
-            row = previous.copy()
+        for now, energy in zip(times, meter.projected_joules_at(times)):
+            row = template.copy()
             busy = occupied
             if running:
                 elapsed = now - started
@@ -427,16 +417,13 @@ class DiASSimulation:
             )
             if telemetry.sample_interval is not None:
                 kernel = kernel_sample_source(self.sim)
-                self._sampler = PeriodicSampler(
+                PeriodicSampler(
                     self.sim,
                     telemetry,
                     telemetry.sample_interval,
-                    sources=[
-                        (self.telemetry_src, self.telemetry_sample, self.telemetry_derive),
-                    ],
+                    sources=[(self.telemetry_src, self.telemetry_rows)],
                     should_continue=lambda: self._completed < self._drain_target,
-                )
-                self._sampler.start()
+                ).start()
         self.sim.run(until=until)
         result = self.finalize()
         if telemetry.enabled:
@@ -632,14 +619,11 @@ class DiASSimulation:
         self._completed += 1
         if self._completed >= self._drain_target:
             # Standalone run drained: cancel the open-ended crash/repair
-            # renewal process so the event heap can empty, and the sampler's
-            # trailing tick so sampling never advances the clock past the
-            # unsampled run's end.  Fleet-embedded controllers never drain on
-            # their own; the fleet stops their injectors from its own hook.
+            # renewal process so the event heap can empty.  Fleet-embedded
+            # controllers never drain on their own; the fleet stops their
+            # injectors from its own hook.
             if self.faults is not None:
                 self.faults.stop()
-            if self._sampler is not None:
-                self._sampler.stop()
         if self.on_job_complete is not None:
             self.on_job_complete()
         self._running = None

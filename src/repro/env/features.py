@@ -69,9 +69,9 @@ def cluster_features(point: DecisionPoint) -> List[List[float]]:
             # ``None`` means sprinting is unmetered; -1 keeps the column
             # numeric while staying distinguishable from an empty budget.
             budget = -1.0 if remaining is None else float(remaining)
-        # telemetry_sample() is the documented read-only state snapshot; it
+        # telemetry_rows() is the documented read-only state snapshot; it
         # must not mutate, so sampling features cannot perturb the episode.
-        sample = controller.telemetry_sample()
+        sample = controller.telemetry_rows((controller.sim.now,))[0]
         rows.append(
             [
                 float(controller.queue_length),

@@ -278,28 +278,16 @@ class FleetSimulation:
                 budget=self.budget_mode,
             )
             if telemetry.sample_interval is not None:
-                sources = [
-                    (c.telemetry_src, c.telemetry_sample, c.telemetry_derive)
-                    for c in self.controllers
-                ]
-                sources.append(("fleet", self._telemetry_sample, self._telemetry_derive))
+                sources = [(c.telemetry_src, c.telemetry_rows) for c in self.controllers]
+                sources.append(("fleet", self._telemetry_rows))
                 kernel = kernel_sample_source(self.sim)
-                sampler = PeriodicSampler(
+                PeriodicSampler(
                     self.sim,
                     telemetry,
                     telemetry.sample_interval,
                     sources=sources,
                     should_continue=lambda: not self._drained(),
-                )
-                sampler.start()
-
-                # Cancel the trailing tick at end-of-workload so sampling
-                # never advances the clock past the unsampled run's end.
-                def _stop_when_drained() -> None:
-                    if self._drained():
-                        sampler.stop()
-
-                completion_hooks.append(_stop_when_drained)
+                ).start()
         if self.fault_spec is not None and self.fault_spec.crash is not None:
             # Cancel every injector's open-ended crash/repair renewal process
             # once the fleet workload has drained, so the heap can empty.
@@ -479,28 +467,25 @@ class FleetSimulation:
 
         restore_fleet(self, payload)
 
-    def _telemetry_sample(self) -> dict:
-        """Fleet-level aggregates complementing the per-cluster samples."""
-        return {
-            "queue_depth": float(sum(c.queue_length for c in self.controllers)),
-            "work_left": sum(c.work_left() for c in self.controllers),
-            "completed_jobs": float(self._completed_jobs()),
-            "utilisation": (
-                sum(1.0 for c in self.controllers if c._running is not None)
-                / self.num_clusters
-            ),
-        }
-
-    def _telemetry_derive(self, previous: dict, times: List[float]) -> List[dict]:
-        """The fleet samples at ``times`` with no event since ``previous``."""
+    def _telemetry_rows(self, times: Sequence[float]) -> List[dict]:
+        """Fleet-level aggregates complementing the per-cluster samples, at
+        each of ``times`` with no event in between."""
         controllers = self.controllers
-        rows = []
-        for now in times:
-            row = previous.copy()
-            row["work_left"] = sum(c.work_left(now) for c in controllers)
-            row["t"] = now
-            rows.append(row)
-        return rows
+        queue_depth = float(sum(c.queue_length for c in controllers))
+        completed = float(self._completed_jobs())
+        utilisation = (
+            sum(1.0 for c in controllers if c._running is not None) / self.num_clusters
+        )
+        return [
+            {
+                "queue_depth": queue_depth,
+                "work_left": sum(c.work_left(now) for c in controllers),
+                "completed_jobs": completed,
+                "utilisation": utilisation,
+                "t": now,
+            }
+            for now in times
+        ]
 
     # ---------------------------------------------------------------- events
     def _make_routing_callback(self, job: Job):

@@ -40,12 +40,12 @@ Design notes
   ``(time, priority, seq)`` is a strict total order, re-heapifying the
   survivors pops them in exactly the same order as lazy skipping would have —
   compaction is invisible to the simulation.
-* **Virtual events.**  :meth:`Simulator.try_virtual_event` lets a caller
-  account an event that would be the very next one popped without touching
-  the heap: the clock and sequence counter move exactly as a schedule plus
-  pop would move them.  :meth:`Simulator.virtual_ticks` accounts a whole
-  run of evenly spaced ones at once; the periodic telemetry sampler uses it
-  for the ticks that fall in a gap between two heap entries.
+* **Clock watch.**  :meth:`Simulator.watch` registers one callback that
+  learns when the clock is about to pass a time of its choosing, without an
+  event on the heap.  The periodic telemetry sampler uses it: its ticks
+  cost no heap traffic, move no counter and never need cancelling.  Only
+  the ``until`` loop checks the watch (one float comparison per event), so
+  a run with neither a watch nor ``until`` pays nothing for it.
 * The kernel knows nothing about jobs, priorities or energy; it only runs
   callbacks at simulated times.  :class:`ArrivalPump` is the one helper that
   sits on top: it feeds a lazy, arrival-ordered source (anything whose items
@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -158,7 +158,8 @@ class Simulator:
         "_compactions",
         "_compaction_threshold",
         "_compaction_watermark",
-        "_horizon",
+        "_watch",
+        "_wake_at",
         "telemetry",
     )
 
@@ -185,8 +186,9 @@ class Simulator:
         self._compactions = 0
         self._compaction_threshold = int(compaction_threshold or 0)
         self._compaction_watermark = _MIN_COMPACTION_WATERMARK
-        # Latest time a virtual event may take; -inf outside :meth:`run`.
-        self._horizon = -math.inf
+        # The clock watch (see :meth:`watch`) and the time it waits for.
+        self._watch: Optional[Callable[[float], float]] = None
+        self._wake_at = math.inf
 
     # ------------------------------------------------------------------ time
     @property
@@ -289,57 +291,28 @@ class Simulator:
             self._maybe_compact()
         return event
 
-    def try_virtual_event(self, time: float, priority: int) -> bool:
-        """Account an event at ``(time, priority)`` without touching the heap.
+    def watch(self, callback: Callable[[float], float], wake_at: float) -> None:
+        """Register the clock watch: ``callback(t)`` runs when the clock is
+        about to pass ``wake_at``, and returns the next ``wake_at``.
 
-        Succeeds only inside :meth:`run` and only if such an event would be
-        the next one popped: it sorts before the heap's top entry (cancelled
-        or not), is not past the run's ``until``, and the run has no
-        ``max_events`` budget and no pending :meth:`stop`.  The clock and the
-        sequence counter then move exactly as scheduling the event now and
-        popping it would move them, so every counter (processed, scheduled,
-        pending) reads the same.  Otherwise nothing changes and it returns
-        False.
+        :meth:`run` calls it before the first non-cancelled event later than
+        ``wake_at`` fires, with that event's time, so the callback sees the
+        state after every event up to ``wake_at`` and before any later one.
+        A ``run(until=U)`` that reached ``U`` (neither :meth:`stop` nor
+        ``max_events`` ended it) then calls it once more with the first float
+        after ``U`` if ``U >= wake_at``: ``until`` is inclusive, as it is for
+        events.  The callback must not schedule events, and it reads the
+        time from its argument, never from :attr:`now`, which may still stand
+        at the last event.  Return ``math.inf`` to stop being called.
+
+        The watch is not an event: it moves no counter and does not keep a
+        run alive.  A simulator holds one watch; register it before
+        :meth:`run`.  :meth:`step` never calls it.
         """
-        bound, inclusive = self._virtual_bound(priority)
-        if time < bound or (time == bound and inclusive):
-            self._seq += 1
-            self._now = time
-            return True
-        return False
-
-    def virtual_ticks(self, start: float, interval: float, priority: int) -> List[float]:
-        """Account the ticks ``start + interval``, ``+ interval``, ... that
-        :meth:`try_virtual_event` would accept one after another.
-
-        Virtual events leave the heap as it is, so the first tick it would
-        refuse ends the run of ticks.  Returns their times, built by repeated
-        addition, in one call instead of one per tick.
-        """
-        bound, inclusive = self._virtual_bound(priority)
-        times: List[float] = []
-        now = start + interval
-        while now < bound or (now == bound and inclusive):
-            times.append(now)
-            now += interval
-        if times:
-            self._seq += len(times)
-            self._now = times[-1]
-        return times
-
-    def _virtual_bound(self, priority: int) -> Tuple[float, bool]:
-        """The latest time a virtual event at ``priority`` may take, and
-        whether that time itself is allowed (see :meth:`try_virtual_event`).
-        """
-        if self._stopped:
-            return -math.inf, False
-        horizon = self._horizon
-        heap = self._heap
-        if heap:
-            top = heap[0]
-            if top[0] <= horizon:
-                return top[0], top[1] > priority
-        return horizon, True
+        if self._watch is not None:
+            raise SimulationError("this simulator already has a clock watch")
+        self._watch = callback
+        self._wake_at = float(wake_at)
 
     # -------------------------------------------------------------- execution
     def peek_time(self) -> Optional[float]:
@@ -350,7 +323,11 @@ class Simulator:
         return self._heap[0][0]
 
     def step(self) -> Optional[Event]:
-        """Execute the next event.  Returns the event, or ``None`` if empty."""
+        """Execute the next event.  Returns the event, or ``None`` if empty.
+
+        Stepping does not call the clock watch (see :meth:`watch`); nothing
+        that samples the clock drives a simulator step by step.
+        """
         heap = self._heap
         while heap:
             event = _heappop(heap)[3]
@@ -364,10 +341,12 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the event list drains, ``until`` is reached, or ``max_events``.
 
-        Returns the simulation time at which the run stopped.  The same loops
-        serve telemetry-off and telemetry-on runs: executed-event counts are
-        derived (see :attr:`processed_events`), so sampling needs no
-        per-event bookkeeping in here, and virtual events count too.
+        Returns the simulation time at which the run stopped.  Executed-event
+        counts are derived (see :attr:`processed_events`), so the loops keep
+        no per-event counter.  A run with a clock watch (see :meth:`watch`)
+        takes the ``until`` loop, which compares each event's time with the
+        watch's.  ``max_events`` counts events only: the watch's calls are not
+        events.
         """
         telemetry = self.telemetry
         span_id = (
@@ -379,8 +358,10 @@ class Simulator:
         processed_before = self.processed_events if span_id else 0
         self._running = True
         self._stopped = False
-        if max_events is None:
-            self._horizon = math.inf if until is None else until
+        watch = self._watch
+        wake_at = self._wake_at
+        limit = math.inf if until is None else until
+        reached = False
         executed = 0
         # Hot loop: drive the heap directly with local bindings.  ``heap`` may
         # be mutated by callbacks (scheduling and compaction both operate on
@@ -388,7 +369,7 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         try:
-            if until is None and max_events is None:
+            if watch is None and until is None and max_events is None:
                 # Specialised run-to-exhaustion loop (the common case).
                 while heap:
                     if self._stopped:
@@ -399,7 +380,7 @@ class Simulator:
                         continue
                     self._now = event.time
                     event.callback(self)
-            elif until is None:
+            elif watch is None and until is None:
                 # Bounded-count loop: no deadline, so events can be popped
                 # directly without peeking.
                 while heap:
@@ -425,16 +406,27 @@ class Simulator:
                         self._cancel_pops += 1
                         continue
                     event_time = entry[0]
-                    if until is not None and event_time > until:
-                        self._now = until
+                    if event_time > limit:
+                        self._now = limit
+                        reached = True
                         break
+                    if event_time > wake_at:
+                        wake_at = watch(event_time)
                     pop(heap)
                     self._now = event_time
                     executed += 1
                     event.callback(self)
+                else:
+                    reached = True  # the heap drained
+            if (
+                until is not None and until >= wake_at and reached
+                and not self._stopped
+            ):
+                # ``until`` is inclusive: the clock passes every time up to it.
+                wake_at = watch(math.nextafter(until, math.inf))
         finally:
             self._running = False
-            self._horizon = -math.inf
+            self._wake_at = wake_at
         if until is not None and self._now < until and not heap:
             self._now = until
         if span_id:

@@ -26,9 +26,9 @@ of monotasks' ``plot_continuous_monitor``:
 * :class:`~repro.telemetry.sampler.PeriodicSampler` snapshots simulation
   state at a configurable *simulated-time* interval.  Samples contain no
   wall-clock quantities, so telemetry streams are byte-identical across
-  reruns of the same seed.  The ticks of a gap between heap events are
-  derived from the previous sample with one call per source, and the
-  kernel's counters are published once per run (see the module docstring).
+  reruns of the same seed.  Ticks come from the kernel's clock watch, not
+  from events, and the kernel's counters are published once per run (see
+  the module docstring).
 * :mod:`~repro.telemetry.schema` defines the event schema and validates
   recorded streams; :mod:`~repro.telemetry.inspect` renders summary tables
   and ASCII time-series plots (``repro inspect telemetry.jsonl``).

@@ -169,7 +169,7 @@ class TelemetryHub:
         """Publish a pre-built event dict (``t``/``kind``/``src`` included).
 
         Fast path for producers that already hold a fresh flat dict — the
-        periodic samplers in particular — skipping the kwargs copy
+        spans and samples in particular — skipping the kwargs copy
         :meth:`emit` would make.  The caller must not reuse the dict.
         """
         if not self.enabled:

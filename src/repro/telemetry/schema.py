@@ -27,6 +27,13 @@ Migration notes
   should read the one row instead; ``repro inspect`` no longer draws the
   kernel event-rate plot.  The event kinds and fields are unchanged, so
   older streams still validate.
+* **Sample ticks are not kernel events.**  The periodic sampler used to
+  schedule each tick on the kernel's heap (or account it as a virtual
+  event), so the end-of-run ``kernel`` row and the kernel ``run`` span's
+  ``events`` counted ticks.  Ticks now come from the kernel's clock watch
+  and count in neither: ``processed_events``, ``scheduled_events`` and
+  ``events_per_simsec`` fall by the number of ticks.  Every other event,
+  samples included, is unchanged line for line.
 """
 
 from __future__ import annotations

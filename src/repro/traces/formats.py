@@ -147,6 +147,14 @@ class TraceMeta:
 # ---------------------------------------------------------------------------
 # Per-line parsing (module-level so process-pool workers can pickle it)
 # ---------------------------------------------------------------------------
+#: What a malformed header or record raises while it is decoded: a missing
+#: key, a wrong type, a bad number, an integer field holding an infinite
+#: float (``1e400``), or JSON nested deeper than the recursion limit.
+_MALFORMED = (
+    AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError,
+)
+
+
 def parse_trace_line(
     fmt: str, wave_width: int, lineno: int, line: str
 ) -> Optional[TraceJob]:
@@ -163,7 +171,7 @@ def parse_trace_line(
             return _parse_dag_object(json.loads(text), wave_width)
     except TraceFormatError as err:
         raise TraceFormatError(f"line {lineno}: {err}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise TraceFormatError(f"line {lineno}: malformed {fmt} record: {err}") from None
     raise TraceFormatError(f"unknown trace format {fmt!r}")
 
@@ -427,7 +435,7 @@ def _read_header(handle: TextIO, path: str, fmt: Optional[str]) -> Tuple[TraceMe
     consumed = 1
 
     if text.startswith(CSV_META_PREFIX):
-        meta = TraceMeta.from_json(_load_header_json(path, text[len(CSV_META_PREFIX):]))
+        meta = _meta_from_json(path, _load_header_json(path, text[len(CSV_META_PREFIX):]))
         _check_declared_format(path, meta, fmt, expected=CLUSTER_CSV)
         _expect_csv_columns(path, handle.readline(), lineno=2)
         return meta, consumed + 1
@@ -439,7 +447,7 @@ def _read_header(handle: TextIO, path: str, fmt: Optional[str]) -> Tuple[TraceMe
                 f"{path}: first line must be a trace header "
                 f'({{"{JSONL_META_KEY}": {{"format": ...}}}}); found a bare JSON object'
             )
-        meta = TraceMeta.from_json(payload[JSONL_META_KEY])
+        meta = _meta_from_json(path, payload[JSONL_META_KEY])
         if meta.format == CLUSTER_CSV:
             raise TraceFormatError(
                 f"{path}: header declares {CLUSTER_CSV} but the file is JSONL"
@@ -463,11 +471,20 @@ def _read_header(handle: TextIO, path: str, fmt: Optional[str]) -> Tuple[TraceMe
 def _load_header_json(path: str, text: str) -> Dict:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as err:
+    except _MALFORMED as err:
         raise TraceFormatError(f"{path}: malformed trace header: {err}") from None
     if not isinstance(payload, dict):
         raise TraceFormatError(f"{path}: trace header must be a JSON object")
     return payload
+
+
+def _meta_from_json(path: str, payload: Dict) -> TraceMeta:
+    try:
+        return TraceMeta.from_json(payload)
+    except TraceFormatError as err:
+        raise TraceFormatError(f"{path}: {err}") from None
+    except _MALFORMED as err:
+        raise TraceFormatError(f"{path}: malformed trace header: {err}") from None
 
 
 def _check_declared_format(

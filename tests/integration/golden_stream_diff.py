@@ -1,15 +1,18 @@
-"""Compare the golden runs of two source trees, ignoring ``kernel`` rows.
+"""Compare the golden runs of two source trees, ignoring kernel counts.
 
-A change that moves the kernel's counters out of the periodic samples (they
-are published once, at the run's end) alters the digest of every golden run
-that writes telemetry, while it must change nothing else.  This script runs
-each such golden run under two ``src`` trees, each in its own process, and
-checks what the digest cannot tell apart:
+A change to how many events the kernel runs (the kernel's counters are
+published once, at the run's end, and the kernel ``run`` span counts the
+events it executed) alters the digest of every golden run that writes
+telemetry, while it must change nothing else.  This script runs each such
+golden run under two ``src`` trees, each in its own process, and checks what
+the digest cannot tell apart:
 
 * the report (CLI stdout, or the result summary of an API run) is identical;
-* the Chrome-trace export, where there is one, is identical;
+* the Chrome-trace export, where there is one, is identical once the
+  ``events`` arg of every ``cat == "kernel"`` span is dropped;
 * the telemetry JSONL is identical line for line once every event whose
-  ``src`` is ``"kernel"`` (kernel samples and heap compactions) is dropped.
+  ``src`` is ``"kernel"`` (kernel samples, heap compactions and the kernel
+  ``run`` span) is dropped.
 
 Usage, from the repository root, against a checkout of the parent commit::
 
@@ -86,6 +89,19 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
+def _trace_without_kernel_events(data: bytes) -> Tuple[object, List[int]]:
+    """The parsed trace export with the kernel spans' ``events`` args taken
+    out, and those counts in order."""
+    if not data:
+        return None, []
+    trace = json.loads(data)
+    counts = []
+    for event in trace["traceEvents"]:
+        if event.get("cat") == "kernel":
+            counts.append(event["args"].pop("events"))
+    return trace, counts
+
+
 def _without_kernel(lines: List[bytes]) -> Tuple[List[bytes], int]:
     kept = [line for line in lines if json.loads(line).get("src") != "kernel"]
     return kept, len(lines) - len(kept)
@@ -110,7 +126,9 @@ def compare(name: str, parent_src: str, change_src: str) -> Tuple[bool, str]:
     problems = []
     if parent["report"] != change["report"]:
         problems.append("report differs")
-    if parent["trace.json"] != change["trace.json"]:
+    trace_parent, events_parent = _trace_without_kernel_events(parent["trace.json"])
+    trace_change, events_change = _trace_without_kernel_events(change["trace.json"])
+    if trace_parent != trace_change:
         problems.append("trace export differs")
     kept_parent, dropped_parent = _without_kernel(parent["telemetry.jsonl"].splitlines())
     kept_change, dropped_change = _without_kernel(change["telemetry.jsonl"].splitlines())
@@ -127,9 +145,11 @@ def compare(name: str, parent_src: str, change_src: str) -> Tuple[bool, str]:
         f"{name}: {len(kept_parent)} non-kernel lines; kernel lines "
         f"{dropped_parent} -> {dropped_change}"
     )
+    if events_parent or events_change:
+        summary += f"; kernel span events {events_parent} -> {events_change}"
     if problems:
         return False, summary + "; " + "; ".join(problems)
-    return True, summary + "; report and trace identical"
+    return True, summary + "; report, trace and non-kernel lines identical"
 
 
 def main(argv=None) -> int:

@@ -297,26 +297,27 @@ UNOBSERVED_API_RUNS: Dict[str, Callable[[TelemetryHub], object]] = {
     "fleet-shared-streaming-unobserved": _fleet_shared_streaming,
 }
 
-#: The runs that write telemetry were re-recorded when the kernel's counters
-#: left the periodic samples for one row at the run's end;
-#: ``golden_stream_diff.py`` checks such a change against the parent tree.
+#: The runs that write telemetry were re-recorded when sample ticks stopped
+#: being kernel events, which only moved the kernel's end-of-run counters and
+#: the kernel ``run`` span's event count; ``golden_stream_diff.py`` checks
+#: such a change against the parent tree.
 #: The ``dag-*-unobserved`` runs were recorded before unobserved DAG attempts
 #: left the per-task path, and the other ``unobserved`` runs before MapReduce
 #: attempts did.
 GOLDEN: Dict[str, str] = {
-    "dag-cpfirst-traced-sampled": "f9484b67ff5fe6038e5399fd6963ea5e66ec91a9d52b42bc50009f3ea817065a",
-    "dag-srw-traced-sampled": "3251122c194ae313df3d348ce7a7da0235f7901943c800b1b69a08ff547a0a76",
-    "dag-widest-traced-sampled": "7d7e83e8ec9a0667946fef0ee89db4c68db9f02ee857b5e2d5f0e432745360f2",
-    "dag-slack-faults": "1622af583e1c23b067a9511b42ce5ce551727f01d2857e4203f3c382ce57b0e3",
-    "dag-P-restart": "f25919c4955b2cecbe3b7e201a5a6b580a34f4c8eff6bea6e3c09f7fd3820b27",
-    "compare-traced": "90a04016df9e3abad409b7550a388403789e138428108236c15150f03f40b47b",
-    "compare-faults-traced": "43f1c3a8e6b4f96b494a170de0401850232d21d71e30a506077bb105ddc7e084",
-    "fleet-jsq-sampled": "8542021f63fbe3dcc9c4fc5dbe414eb8495621006fa3c8eafd9d0dc0f55da9eb",
-    "fleet-least-work-left": "ad7b830c8e339726a21c4b2b8cbac9e213ff15f2783832dc2bd0a66a28b8a4e5",
-    "dag-sprinting-api": "830652414ce50f114db2c6254c520e007bd322040dd70cd7396f5ee2db7948d3",
-    "dag-job-source-api": "68e28de1c0c657f3185e7e1fcf85ad788d25b7f3e9150f06ced2c13cecc88422",
-    "dias-sprinting-api": "5d3d9a65e74f8a5cee8a9d28d9d57dc80afbf119cf5b7b5e78d7f07a810e6245",
-    "fleet-faults-api": "69c83bcd06a16517ae9785ada02b9060f55cf8c78e50130ae0b2bad7dba33690",
+    "dag-cpfirst-traced-sampled": "2ba37bf5575e5091f0b2ad9e10b2b992b9480dc4da299b67dd99dcfdd584ca85",
+    "dag-srw-traced-sampled": "823b7ded84946779d7d75ab792c934656827de71138a0d0975ed37cde9bef34b",
+    "dag-widest-traced-sampled": "cd8fea5befa480f7d45a95c88d9c7b8fc8c50d0f85a6932807d1030df5f5f87c",
+    "dag-slack-faults": "eb6eb743c2baf1e27294cbb90f298b9c61ff13d8e820225eae2cb7754074a1d9",
+    "dag-P-restart": "858c60464338763b0281a28171528f6bff153c37f6c3141651942def582434b2",
+    "compare-traced": "c4656f246c86f583660cda38d203e972614b2d25c45f26ee42566f37a3331aa6",
+    "compare-faults-traced": "d4939deaa3cd3d22314945f72f3920a6dbf9e6dee29305ec2fbc3b35b39cfcca",
+    "fleet-jsq-sampled": "483bd9d0ce4cc3c4d77cfbe3cb17fcb3b4241126d03398bcc57149aea9cd30b2",
+    "fleet-least-work-left": "fba6df443a22d652396c9dfd9ae808caeb3e5966753a6fa9432e6733ff836ac3",
+    "dag-sprinting-api": "9fcea69612d1707750e11f89c380d6200ef2a9e832c50b4cc3ee77e17697818f",
+    "dag-job-source-api": "239ecf9e3d590d77d6dadba844da531a6690266a898e016098f8f8ebed1fe014",
+    "dias-sprinting-api": "b41c4272869bbe26828ad8243407e18a8b4c83b4189b29469284409eef014692",
+    "fleet-faults-api": "90a657be033f7195944cf0f1923f88e4ae9f164d37c2283e3775d3bfbb4c4726",
     "dag-P-unobserved": "70d47f4fe8835585912bd5d15a3046bc91faf48e2c729e2904de06142dc9f303",
     "dag-sprinting-unobserved": "e68247e1433cc77dd34720bc9cd05ac8a64f39090b65bea58f00be5c02d3060e",
     "dag-job-source-unobserved": "22e75951b1ccb1cf7b1d11dbd4f8a889211d242dec42978d847b95d2e813e6cd",

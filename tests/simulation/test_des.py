@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.simulation.des import SimulationError, Simulator
@@ -278,3 +280,127 @@ def test_running_priority_belongs_to_its_own_simulator():
     outer.schedule(1.0, nested, priority=1)
     outer.run()
     assert seen == [(4, 1)]
+
+
+# ------------------------------------------------------------- clock watch
+def _watching(sim, wake_at, interval=None):
+    """Register a watch that records the time it is called with; it returns
+    that time (``wake_at`` moves to the waking event) unless ``interval`` is
+    given, when it returns ``wake_at + interval``."""
+    calls = []
+    state = {"wake_at": wake_at}
+
+    def watch(t):
+        calls.append(t)
+        if interval is None:
+            return t
+        state["wake_at"] += interval
+        return state["wake_at"]
+
+    sim.watch(watch, wake_at)
+    return calls
+
+
+def test_watch_wakes_before_the_first_later_event_fires():
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda s, t=t: fired.append(t))
+    sim.schedule(2.0, lambda s: fired.append("late"), priority=5)
+    seen = []
+
+    def watch(t):
+        seen.append((t, sim.now, list(fired)))
+        return t
+
+    sim.watch(watch, 1.5)
+    sim.run()
+    # The watch sees t=2.0 before either event at 2.0 fires; the clock still
+    # stands at the last event.  Then it waits for a time past 2.0.
+    assert seen == [(2.0, 1.0, [1.0]), (3.0, 2.0, [1.0, 2.0, "late"])]
+    assert fired == [1.0, 2.0, "late", 3.0]
+
+
+def test_events_at_exactly_wake_at_and_cancelled_entries_do_not_wake_it():
+    sim = Simulator()
+    sim.schedule(2.0, lambda s: None)
+    sim.schedule(3.0, lambda s: None).cancel()
+    sim.schedule(5.0, lambda s: None)
+    calls = _watching(sim, 2.0)
+    sim.run()
+    assert calls == [5.0]
+
+
+def test_until_is_inclusive_for_the_watch():
+    sim = Simulator()
+    sim.schedule(1.0, lambda s: None)
+    sim.schedule(9.0, lambda s: None)
+    calls = _watching(sim, 4.0, interval=1.0)
+    assert sim.run(until=4.0) == 4.0
+    # Run to 4.0 inclusive: the watch learns that the clock passes 4.0.
+    assert calls == [math.nextafter(4.0, math.inf)]
+    calls.clear()
+    sim.run(until=4.5)  # wake_at is now 5.0, past the end: no call
+    assert calls == []
+    sim.run()
+    assert calls == [9.0]
+
+
+def test_until_wakes_the_watch_when_the_heap_drains_early():
+    sim = Simulator()
+    sim.schedule(1.0, lambda s: None)
+    calls = _watching(sim, 2.0)
+    sim.run(until=10.0)
+    assert calls == [math.nextafter(10.0, math.inf)]
+    assert sim.now == 10.0
+
+
+def test_nothing_wakes_the_watch_after_stop():
+    sim = Simulator()
+    sim.schedule(1.0, lambda s: s.stop())
+    sim.schedule(5.0, lambda s: None)
+    calls = _watching(sim, 2.0)
+    assert sim.run(until=10.0) == 1.0
+    assert calls == []
+    sim.run(until=10.0)
+    assert calls == [5.0, math.nextafter(10.0, math.inf)]
+
+
+def test_max_events_counts_events_only():
+    """The watch is not an event: it neither takes from a ``max_events``
+    budget nor moves the kernel's counters, and ``max_events`` ending a
+    ``run(until=...)`` early skips the end-of-run call."""
+    sim = Simulator()
+    fired = []
+    for i in range(6):
+        sim.schedule(float(i + 1), lambda s, i=i: fired.append(i))
+    calls = _watching(sim, 0.5, interval=0.5)
+    sim.run(until=100.0, max_events=3)
+    assert fired == [0, 1, 2]
+    assert len(calls) == 3
+    assert sim.processed_events == 3 and sim.scheduled_events == 6
+    sim.run(max_events=2)
+    assert fired == [0, 1, 2, 3, 4]
+
+
+def test_step_does_not_call_the_watch():
+    sim = Simulator()
+    sim.schedule(5.0, lambda s: None)
+    calls = _watching(sim, 1.0)
+    sim.step()
+    assert calls == [] and sim.now == 5.0
+
+
+def test_one_watch_per_simulator():
+    sim = Simulator()
+    sim.watch(lambda t: math.inf, 1.0)
+    with pytest.raises(SimulationError):
+        sim.watch(lambda t: math.inf, 2.0)
+
+
+def test_an_infinite_wake_at_is_never_called():
+    sim = Simulator()
+    sim.schedule(1.0, lambda s: None)
+    calls = _watching(sim, math.inf)
+    sim.run(until=50.0)
+    assert calls == []

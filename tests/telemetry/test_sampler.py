@@ -19,142 +19,161 @@ def _hub_with_ring():
     return hub, ring
 
 
-def test_samples_every_interval():
+def _recording_source(name, state, calls):
+    """A ``(src, rows)`` source reading ``state["value"]``; records each
+    ``rows`` call's times in ``calls``."""
+
+    def rows(times):
+        calls.append((name, list(times)))
+        return [{"value": state["value"], "t": t} for t in times]
+
+    return (name, rows)
+
+
+def _samples(ring):
+    return [e for e in ring.events if e["kind"] == "sample"]
+
+
+def test_samples_every_interval_without_touching_the_heap():
     sim = Simulator()
     hub, ring = _hub_with_ring()
     for i in range(5):
-        sim.schedule(float(i), lambda s: None)
+        sim.schedule(float(i) + 0.5, lambda s: None)
     sampler = PeriodicSampler(sim, hub, 1.0,
-                              sources=[("kernel", kernel_sample_source(sim))])
+                              sources=[_recording_source("x", {"value": 0}, [])])
     sampler.start()
     sim.run()
-    times = [e["t"] for e in ring.events if e["kind"] == "sample"]
-    # Baseline at t=0 plus one tick per interval while work remained.
-    assert times[0] == 0.0
-    assert times == sorted(times)
-    assert sampler.samples_taken == len(times)
+    times = [e["t"] for e in _samples(ring)]
+    # A baseline at 0 and every tick before the last event (4.5).
+    assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert sampler.samples_taken == 5
+    # Ticks are not events: the kernel counts the workload's five only.
+    assert sim.scheduled_events == sim.processed_events == 5
+    assert sim.now == 4.5
 
 
-def test_sampler_stop_prevents_clock_advance():
-    """A cancelled trailing tick must not advance the kernel clock."""
+def test_rows_get_kind_and_src_after_their_fields():
     sim = Simulator()
-    hub, _ring = _hub_with_ring()
-    sim.schedule(2.5, lambda s: None)
-    sampler = PeriodicSampler(sim, hub, 1.0,
-                              sources=[("kernel", kernel_sample_source(sim))],
-                              should_continue=lambda: True)
-    sampler.start()
-    # Stop as soon as the workload's only event fires (t=2.5); the pending
-    # tick at t=3.0 is cancelled and must be skipped without advancing time.
-    sim.schedule(2.5, lambda s: sampler.stop(), priority=10)
-    end = sim.run()
-    assert end == 2.5
-    assert sim.now == 2.5
+    hub, ring = _hub_with_ring()
+    sim.schedule(1.5, lambda s: None)
+    PeriodicSampler(sim, hub, 1.0,
+                    sources=[_recording_source("x", {"value": 7}, [])]).start()
+    sim.run()
+    assert [list(e) for e in _samples(ring)] == [["value", "t", "kind", "src"]] * 2
 
 
-def test_sampler_without_stop_overruns_the_workload():
-    """Control for the stop() test: the trailing tick advances the clock."""
-    sim = Simulator()
-    hub, _ring = _hub_with_ring()
-    sim.schedule(2.5, lambda s: None)
-    sampler = PeriodicSampler(sim, hub, 1.0,
-                              sources=[("kernel", kernel_sample_source(sim))])
-    sampler.start()
-    end = sim.run()
-    assert end > 2.5
-
-
-def test_sample_priority_observes_post_state():
-    """Samples at time T run after engine events scheduled at T."""
+def test_a_tick_at_t_sees_the_state_after_every_event_at_t():
     sim = Simulator()
     hub, ring = _hub_with_ring()
     state = {"value": 0.0}
 
-    def bump(s):
-        state["value"] = 1.0
+    def bump(value):
+        def callback(_sim):
+            state["value"] = value
 
-    sim.schedule(1.0, bump)  # priority 0 < SAMPLE_PRIORITY
-    sampler = PeriodicSampler(sim, hub, 1.0,
-                              sources=[("probe", lambda: dict(state))])
+        return callback
+
+    sim.schedule(1.0, bump(1.0), priority=0)
+    sim.schedule(1.0, bump(2.0), priority=7)
+    sim.schedule(1.25, bump(3.0))
+    # The first event past tick 2 falls on tick 3 itself.
+    sim.schedule(3.0, bump(4.0))
+    sim.schedule(3.5, bump(5.0))
+    PeriodicSampler(sim, hub, 1.0, sources=[_recording_source("probe", state, [])]).start()
+    sim.run()
+    values = {e["t"]: e["value"] for e in _samples(ring)}
+    assert values == {0.0: 0.0, 1.0: 2.0, 2.0: 3.0, 3.0: 4.0}
+
+
+def test_each_flush_makes_one_rows_call_per_source_interleaved_by_tick():
+    sim = Simulator()
+    hub, ring = _hub_with_ring()
+    calls = []
+    state = {"value": 0.0}
+    sim.schedule(4.5, lambda s: None)
+    sim.schedule(6.5, lambda s: None)
+    sampler = PeriodicSampler(sim, hub, 1.0, sources=[
+        _recording_source("a", state, calls), _recording_source("b", state, calls),
+    ])
     sampler.start()
     sim.run()
-    at_one = [e for e in ring.events if e["t"] == 1.0 and e["kind"] == "sample"]
-    assert at_one and at_one[0]["value"] == 1.0
+    assert calls == [
+        ("a", [0.0]), ("b", [0.0]),
+        ("a", [1.0, 2.0, 3.0, 4.0]), ("b", [1.0, 2.0, 3.0, 4.0]),
+        ("a", [5.0, 6.0]), ("b", [5.0, 6.0]),
+    ]
+    rows = [(e["t"], e["src"]) for e in _samples(ring)]
+    assert rows == [(float(t), src) for t in range(7) for src in "ab"]
+    assert sampler.samples_taken == 7
+
+
+def test_run_until_emits_the_ticks_up_to_and_including_until():
+    sim = Simulator()
+    hub, ring = _hub_with_ring()
+    sim.schedule(1.5, lambda s: None)
+    sim.schedule(10.5, lambda s: None)
+    PeriodicSampler(sim, hub, 1.0,
+                    sources=[_recording_source("x", {"value": 0}, [])]).start()
+    assert sim.run(until=4.0) == 4.0
+    assert [e["t"] for e in _samples(ring)] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    sim.run(until=4.5)
+    assert len(_samples(ring)) == 5
+    sim.run()
+    assert [e["t"] for e in _samples(ring)][5:] == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+
+
+def test_the_drain_predicate_ends_sampling_at_the_unsampled_end_time():
+    def build(sampled):
+        sim = Simulator()
+        hub, ring = _hub_with_ring()
+        done = {"value": 0}
+
+        def finish(_sim):
+            done["value"] = 1
+
+        sim.schedule(2.5, finish)
+        # Events after the drain (a renewal process winding down, say) must
+        # not be sampled.
+        sim.schedule(7.5, lambda s: None)
+        if sampled:
+            PeriodicSampler(sim, hub, 1.0,
+                            sources=[_recording_source("x", done, [])],
+                            should_continue=lambda: not done["value"]).start()
+        return sim, ring
+
+    plain, _ = build(False)
+    sampled, ring = build(True)
+    assert sampled.run() == plain.run() == 7.5
+    assert sampled.scheduled_events == plain.scheduled_events
+    # Ticks 1 and 2 came before the drain at 2.5; none came after it.
+    assert [(e["t"], e["value"]) for e in _samples(ring)] == [
+        (0.0, 0), (1.0, 0), (2.0, 0),
+    ]
 
 
 def test_kernel_source_rate_is_per_simulated_second():
-    # The simulator only maintains live per-event counters when it is
-    # constructed with an enabled hub, exactly as the engines do.
-    hub, ring = _hub_with_ring()
+    hub, _ring = _hub_with_ring()
     sim = Simulator(telemetry=hub)
+    kernel = kernel_sample_source(sim)
+    assert kernel()["events_per_simsec"] == 0.0  # no time elapsed
     for i in range(10):
-        sim.schedule(0.1 * i, lambda s: None)
-    sampler = PeriodicSampler(sim, hub, 1.0,
-                              sources=[("kernel", kernel_sample_source(sim))])
-    sampler.start()
+        sim.schedule(0.5 * (i + 1), lambda s: None)
     sim.run()
-    samples = [e for e in ring.events if e["src"] == "kernel"]
-    assert samples[0]["events_per_simsec"] == 0.0  # baseline: no time elapsed
-    assert all(s["events_per_simsec"] >= 0.0 for s in samples)
-    assert samples[-1]["processed_events"] >= 10.0
+    row = kernel()
+    assert row["processed_events"] == row["scheduled_events"] == 10
+    assert row["pending_events"] == 0
+    assert row["events_per_simsec"] == 10 / 5.0
 
 
 def test_sampler_validates_arguments():
     sim = Simulator()
     hub, _ = _hub_with_ring()
+    source = _recording_source("x", {"value": 0}, [])
     with pytest.raises(ValueError):
-        PeriodicSampler(sim, hub, 0.0, sources=[("x", dict)])
+        PeriodicSampler(sim, hub, 0.0, sources=[source])
     with pytest.raises(ValueError):
         PeriodicSampler(sim, hub, 1.0, sources=[])
-    sampler = PeriodicSampler(sim, hub, 1.0, sources=[("x", dict)])
+    sampler = PeriodicSampler(sim, hub, 1.0, sources=[source])
     sampler.start()
     with pytest.raises(RuntimeError):
         sampler.start()
-
-
-def test_a_gap_costs_one_derive_call_per_source_and_rows_interleave_by_tick():
-    sim = Simulator()
-    hub, ring = _hub_with_ring()
-    calls = []
-
-    def source(name):
-        def sample():
-            return {"value": 0.0}
-
-        def derive(previous, times):
-            calls.append((name, list(times)))
-            return [dict(previous, t=t, value=float(t)) for t in times]
-
-        return (name, sample, derive)
-
-    sim.schedule(4.5, lambda s: None)
-    sampler = PeriodicSampler(sim, hub, 1.0, sources=[source("a"), source("b")])
-    sampler.start()
-    sim.run()
-    # The tick at 1.0 is a heap event; 2.0-4.0 sort before the event at 4.5.
-    assert calls == [("a", [2.0, 3.0, 4.0]), ("b", [2.0, 3.0, 4.0])]
-    rows = [(e["t"], e["src"]) for e in ring.events if e["kind"] == "sample"]
-    assert rows == [
-        (0.0, "a"), (0.0, "b"), (1.0, "a"), (1.0, "b"),
-        (2.0, "a"), (2.0, "b"), (3.0, "a"), (3.0, "b"), (4.0, "a"), (4.0, "b"),
-        (5.0, "a"), (5.0, "b"),
-    ]
-    assert sampler.samples_taken == 6
-
-
-def test_a_source_without_a_derive_form_is_taken_as_unchanged_in_a_gap():
-    sim = Simulator()
-    hub, ring = _hub_with_ring()
-    reads = []
-
-    def sample():
-        reads.append(sim.now)
-        return {"value": 1.0}
-
-    sim.schedule(3.5, lambda s: None)
-    PeriodicSampler(sim, hub, 1.0, sources=[("x", sample)]).start()
-    sim.run()
-    assert reads == [0.0, 1.0, 4.0]
-    samples = [e for e in ring.events if e["kind"] == "sample"]
-    assert [e["t"] for e in samples] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert all(e["value"] == 1.0 and e["src"] == "x" for e in samples)
