@@ -124,26 +124,28 @@ class TaskDropper:
         weighted_reduce = 0.0
 
         for stage in job.stages:
-            total_map += stage.num_map_tasks
-            total_reduce += stage.num_reduce_tasks
+            num_maps = stage.num_map_tasks
+            num_reduces = stage.num_reduce_tasks
+            total_map += num_maps
+            total_reduce += num_reduces
             if stage.droppable:
                 stage_map_drop = float(stage_map_ratios.get(stage.index, 0.0))
                 stage_reduce_drop = float(stage_reduce_ratios.get(stage.index, 0.0))
                 applied_map_ratios.append(stage_map_drop)
-                droppable_map_tasks += stage.num_map_tasks
-                droppable_reduce_tasks += stage.num_reduce_tasks
-                weighted_map += stage_map_drop * stage.num_map_tasks
-                weighted_reduce += stage_reduce_drop * stage.num_reduce_tasks
+                droppable_map_tasks += num_maps
+                droppable_reduce_tasks += num_reduces
+                weighted_map += stage_map_drop * num_maps
+                weighted_reduce += stage_reduce_drop * num_reduces
             else:
                 stage_map_drop = 0.0
                 stage_reduce_drop = 0.0
 
-            keep_maps = find_missing_partitions(stage.num_map_tasks, stage_map_drop)
-            keep_reduces = find_missing_partitions(stage.num_reduce_tasks, stage_reduce_drop)
-            kept_map[stage.index] = self._select(stage.num_map_tasks, keep_maps)
-            kept_reduce[stage.index] = self._select(stage.num_reduce_tasks, keep_reduces)
-            dropped_map += stage.num_map_tasks - keep_maps
-            dropped_reduce += stage.num_reduce_tasks - keep_reduces
+            keep_maps = find_missing_partitions(num_maps, stage_map_drop)
+            keep_reduces = find_missing_partitions(num_reduces, stage_reduce_drop)
+            kept_map[stage.index] = self._select(num_maps, keep_maps)
+            kept_reduce[stage.index] = self._select(num_reduces, keep_reduces)
+            dropped_map += num_maps - keep_maps
+            dropped_reduce += num_reduces - keep_reduces
 
         if any(ratio > 0 for ratio in applied_map_ratios):
             effective = compose_stage_drop_ratios(applied_map_ratios)
@@ -177,4 +179,4 @@ class TaskDropper:
         if keep <= 0:
             return []
         chosen = self._rng.choice(total, size=keep, replace=False)
-        return sorted(int(i) for i in chosen)
+        return sorted(chosen.tolist())

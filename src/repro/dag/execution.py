@@ -17,10 +17,19 @@ preemptive baseline) drives DAG jobs unchanged.
 **Private runs.**  An unobserved attempt — no fault injector, a disabled
 telemetry hub and no decision hook — runs privately (see
 :mod:`repro.engine.execution`): :meth:`DagExecution.start` runs it to the end
-at once on a private ``(time, seq)`` heap of task ends.  The private run
-calls the same activation, pick and stage-completion code as the per-task
-path, with the same float expressions and tie order.  Any enabled hub keeps
-a DAG attempt per task, because ``stage_scheduled`` is emitted at each stage
+at once on a private ``(time, seq)`` heap of task ends.  The private run is
+one loop of its own: it does not call the per-task path's ``_task_done``,
+``_activate_stage`` or ``_fill_slots``, but repeats what they do, inline and
+without telemetry.  What keeps the two paths equal is that the loop makes
+the same state changes in the same order: the same float expressions for
+task ends and undispatched work, the same ``(time, dispatch seq)`` tie
+order, the same ready order (a cascade of stages emptied by dropping runs
+depth first, one finished parent's children in index order), and the same
+last-in, first-out use of the free slots.
+``tests/properties/test_private_run_equivalence.py`` checks this for every
+built-in scheduler: completion times, the state after a materialising speed
+change, and every stage's state at the end.  Any enabled hub keeps a DAG
+attempt per task, because ``stage_scheduled`` is emitted at each stage
 activation and would come out of time order from inside ``start``.
 """
 
@@ -28,9 +37,9 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dag.analytics import (
     CriticalPathAnalysis,
@@ -68,12 +77,15 @@ class StageRun:
         position: int,
     ) -> None:
         self.stage = stage
+        maps = list(map_durations)
+        reduces = list(reduce_durations)
+        shuffle = [stage.shuffle_time] if stage.shuffle_time > 0 and reduces else []
         # (durations, parallel) per phase; empty phases are skipped on entry.
-        self._phases: List[tuple] = [(list(map_durations), True)]
-        if stage.shuffle_time > 0 and reduce_durations:
-            self._phases.append(([stage.shuffle_time], False))
-        self._phases.append((list(reduce_durations), True))
-        self._work = sum(d for durations, _ in self._phases for d in durations)
+        self._phases = [(maps, True), (shuffle, False), (reduces, True)]
+        self._work = sum(maps + shuffle + reduces)
+        #: The runs of this stage's children, in index order (set by the
+        #: execution once every run exists).
+        self.children: List[StageRun] = []
         #: Position in the job's topological stage order; the frontier is
         #: kept sorted by it so candidates come in full-scan order.
         self.position = position
@@ -239,9 +251,11 @@ class DagExecution(Execution):
             map_drop_ratio if setup_drop_ratio is None else setup_drop_ratio
         )
 
+        dag = job.dag
+        slots = cluster.slots
         kept_durations: Dict[int, float] = {}
         self._runs: Dict[int, StageRun] = {}
-        for stage in job.dag:
+        for stage in dag:
             maps = self._kept(
                 stage.map_task_times, stage, kept_map_indices, map_drop_ratio
             )
@@ -250,15 +264,20 @@ class DagExecution(Execution):
             )
             self._runs[stage.index] = StageRun(stage, maps, reduces, len(self._runs))
             kept_durations[stage.index] = stage_duration(
-                stage, cluster.slots, map_durations=maps, reduce_durations=reduces
+                stage, slots, map_durations=maps, reduce_durations=reduces
             )
+        runs = self._runs
+        for run in runs.values():
+            run.children = [runs[index] for index in dag.children(run.index)]
+        #: The source stages' runs, in index order.
+        self._sources = [runs[index] for index in dag.sources()]
         self.analysis: CriticalPathAnalysis = analyze_critical_path(
-            job.dag, cluster.slots, stage_durations=kept_durations
+            dag, slots, stage_durations=kept_durations
         )
         for index, rank in upward_ranks(
-            job.dag, cluster.slots, stage_durations=kept_durations
+            dag, slots, stage_durations=kept_durations
         ).items():
-            self._runs[index].rank = rank
+            runs[index].rank = rank
 
         #: The ready, not-done stages, sorted by ``_frontier_key``: the only
         #: stages a free slot can serve.  A stage enters when activated and
@@ -267,15 +286,7 @@ class DagExecution(Execution):
         #: every stage.
         self._frontier: List[StageRun] = []
         self._ready_counter = 0
-        self._remaining_stages = len(self._runs)
-
-        #: While an unobserved attempt runs privately: the heap of
-        #: ``(end time, dispatch seq, slot, stage run)`` entries of its
-        #: in-flight tasks (stage run ``None`` for the setup), with
-        #: ``_clock`` the private time and ``_dispatched`` the next seq.
-        self._private: Optional[List[tuple]] = None
-        self._clock = 0.0
-        self._dispatched = 0
+        self._remaining_stages = len(runs)
 
     @staticmethod
     def _kept(
@@ -375,17 +386,13 @@ class DagExecution(Execution):
         # Unobserved: until a speed change, eviction or the end, the attempt
         # is deterministic list scheduling, so run it to the end now and
         # give the kernel one event, at the end.
-        self._run_private(math.inf, True)
-        self._end_privately_at(self._clock if self._dispatched else None)
+        _in_flight, end = self._run_private(math.inf, True)
+        self._end_privately_at(end)
 
     def _enter(self) -> None:
         """Start the setup task, or the source stages when there is none."""
         if self._setup_time <= 0:
             self._activate_sources()
-        elif self._private is not None:
-            heappush(self._private, (self._clock + self._setup_time / self._speed,
-                                     self._dispatched, _SETUP_SLOT, None))
-            self._dispatched += 1
         else:
             if self.telemetry.tracing:
                 self._setup_span = (self.telemetry.new_span_id(), self.sim.now)
@@ -407,8 +414,8 @@ class DagExecution(Execution):
         self._activate_sources()
 
     def _activate_sources(self) -> None:
-        for index in self.job.dag.sources():
-            self._activate_stage(self._runs[index])
+        for run in self._sources:
+            self._activate_stage(run)
         if self._remaining_stages == 0:
             self._finish()
             return
@@ -442,8 +449,7 @@ class DagExecution(Execution):
                 if tracing:
                     self._emit_stage_span(current)
                 self._remaining_stages -= 1
-                for child_index in self.job.dag.children(current.index):
-                    child = self._runs[child_index]
+                for child in current.children:
                     child.unfinished_parents -= 1
                     if child.unfinished_parents == 0:
                         stack.append(child)
@@ -452,9 +458,8 @@ class DagExecution(Execution):
         free = self._free_slots
         frontier = self._frontier
         ordered = self._ordered
-        private = self._private
         speed = self._speed
-        now = self._clock if private is not None else self.sim.now
+        now = self.sim.now
         # Ordered path: the frontier holds only ready, not-done stages in
         # pick order, and a pick only makes its own stage less dispatchable,
         # so each pick resumes the scan where the previous one stopped.
@@ -486,10 +491,7 @@ class DagExecution(Execution):
                     run = eligible[choice]
             slot = free.pop()
             duration = run.pop_task()
-            if private is not None:
-                heappush(private, (now + duration / speed, self._dispatched, slot, run))
-                self._dispatched += 1
-            elif self._faults is not None:
+            if self._faults is not None:
                 self._start_task(slot, run, duration, attempt=1)
             else:
                 callbacks = self._task_callbacks
@@ -519,8 +521,7 @@ class DagExecution(Execution):
             if run.span_id:
                 self._emit_stage_span(run)
             self._remaining_stages -= 1
-            for child_index in self.job.dag.children(run.index):
-                child = self._runs[child_index]
+            for child in run.children:
                 child.unfinished_parents -= 1
                 if child.unfinished_parents == 0:
                     self._activate_stage(child)
@@ -548,35 +549,124 @@ class DagExecution(Execution):
     def _retry_attempt_field(self, attempt: int) -> int:
         return attempt + 1
 
-    def _finish(self) -> None:
-        # A private run only reaches its end here; its kernel event (or, for
-        # an attempt with nothing to run, ``_begin``) finishes it.
-        if self._private is None:
-            super()._finish()
-
     # ------------------------------------------------------------ private run
-    def _run_private(self, until: float, inclusive: bool) -> List[tuple]:
+    def _run_private(
+        self, until: float, inclusive: bool
+    ) -> Tuple[List[tuple], Optional[float]]:
         """Run the attempt from its start on a private heap up to ``until``.
 
         Private events at ``until`` itself run only when ``inclusive``.
-        Returns the heap of the tasks still in flight.
+        Returns the heap of ``(end, dispatch seq, slot, stage run)`` entries
+        of the tasks still in flight (stage run ``None`` for the setup) and
+        the time of the last private event that ran (``None`` if none did).
+
+        One loop serves every scheduler.  It does what ``_activate_stage``,
+        ``_task_done`` and ``_fill_slots`` do on the per-task path, without
+        telemetry and without a call per task: ordered frontiers resume a
+        cursor, the others call ``scheduler.select`` on the eligible stages.
+        The free-slot list is last in, first out, so the slot a task just
+        freed is the first one handed out again; its heap entry is replaced
+        in place rather than popped and pushed.
         """
-        self._private = heap = []
-        self._clock = self.start_time
-        self._dispatched = 0
-        self._enter()
-        while heap:
-            time = heap[0][0]
+        heap: List[tuple] = []
+        free = self._free_slots
+        frontier = self._frontier
+        key = self._frontier_key
+        select = None if self._ordered else self.scheduler.select
+        speed = self._speed
+        clock = self.start_time
+        last: Optional[float] = None
+        seq = 0
+        ready_seq = self._ready_counter
+        finished = 0
+        ready, decrement = self._sources, False
+        if self._setup_time > 0:
+            heap.append((clock + self._setup_time / speed, 0, _SETUP_SLOT, None))
+            seq = 1
+            ready = ()
+        #: The slot of ``heap[0]``, a task that has just ended, until the
+        #: slot is handed out again or freed.
+        slot: Optional[int] = None
+        while True:
+            # Activate the stages in ``ready`` (after one more finished
+            # parent, when ``decrement``); stages emptied by dropping
+            # complete in cascade.
+            for root in ready:
+                if decrement:
+                    root.unfinished_parents -= 1
+                    if root.unfinished_parents:
+                        continue
+                stack = [root]
+                while stack:
+                    current = stack.pop()
+                    current.ready_seq = ready_seq
+                    ready_seq += 1
+                    current._advance_to_nonempty_phase()
+                    if not current.done:
+                        insort(frontier, current, key=key)
+                        continue
+                    finished += 1
+                    for child in current.children:
+                        child.unfinished_parents -= 1
+                        if not child.unfinished_parents:
+                            stack.append(child)
+            # Fill the freed slot, then any idle ones.
+            cursor = 0
+            size = len(frontier)
+            while slot is not None or free:
+                if select is None:
+                    while cursor < size:
+                        run = frontier[cursor]
+                        if run.pending and (run._parallel or not run.active):
+                            break
+                        cursor += 1
+                    else:
+                        break
+                else:
+                    eligible = [
+                        run for run in frontier
+                        if run.pending and (run._parallel or not run.active)
+                    ]
+                    if not eligible:
+                        break
+                    run = select(eligible)
+                duration = run.pending.pop()
+                run._undispatched -= duration
+                run.active += 1
+                if slot is not None:
+                    heapreplace(heap, (clock + duration / speed, seq, slot, run))
+                    slot = None
+                else:
+                    heappush(heap, (clock + duration / speed, seq, free.pop(), run))
+                seq += 1
+            if slot is not None:
+                heappop(heap)
+                free.append(slot)
+                slot = None
+            if not heap:
+                break
+            time, _seq, slot, run = heap[0]
             if time > until or (time == until and not inclusive):
                 break
-            _time, _seq, slot, run = heappop(heap)
-            self._clock = time
+            clock = last = time
+            ready = ()
             if run is None:
-                self._activate_sources()
-            else:
-                self._task_done(slot, run)
-        self._private = None
-        return heap
+                heappop(heap)
+                slot = None
+                ready, decrement = self._sources, False
+                continue
+            # ``StageRun.task_finished`` inlined.
+            run.active -= 1
+            if run.pending or run.active:
+                continue
+            run._advance_to_nonempty_phase()
+            if run.done:
+                frontier.remove(run)
+                finished += 1
+                ready, decrement = run.children, True
+        self._ready_counter = ready_seq
+        self._remaining_stages -= finished
+        return heap, last
 
     def _materialise(self, inclusive: bool) -> None:
         for run in self._runs.values():
@@ -586,7 +676,7 @@ class DagExecution(Execution):
         self._remaining_stages = len(self._runs)
         self._free_slots = list(range(self.cluster.slots))
         sim = self.sim
-        in_flight = self._run_private(sim.now, inclusive)
+        in_flight, _last = self._run_private(sim.now, inclusive)
         for time, _seq, slot, run in sorted(in_flight, key=_dispatch_seq):
             callback = self._on_setup_done if run is None else self._task_callback(slot)
             self._active[slot] = _ActiveTask(

@@ -128,9 +128,13 @@ def wave_time(durations: Sequence[float], slots: int) -> float:
     """Makespan of ``durations`` scheduled greedily (LPT) on ``slots`` slots."""
     if not durations:
         return 0.0
+    if len(durations) <= slots:
+        # One task per slot, each starting at 0.0: the heap below would end
+        # with every load equal to one duration.
+        return float(max(durations))
     # (load, slot) heap: ties go to the lowest slot, so which durations each
     # slot sums, and in which order, is fixed and the result is reproducible.
-    finish = [(0.0, slot) for slot in range(min(slots, len(durations)))]
+    finish = [(0.0, slot) for slot in range(slots)]
     for duration in sorted(durations, reverse=True):
         load, slot = finish[0]
         heapreplace(finish, (load + duration, slot))

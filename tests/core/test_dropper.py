@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dropper import TaskDropper, find_missing_partitions
 from repro.engine.job import Job, StageSpec
@@ -99,3 +100,22 @@ def test_invalid_ratios_rejected():
         dropper.plan(make_job(), 1.0, 0.0)
     with pytest.raises(ValueError):
         dropper.plan(make_job(), 0.0, -0.1)
+
+
+#: ``(total, keep)`` with ``0 < keep < total``: the calls that draw.
+_DRAWS = st.integers(2, 400).flatmap(
+    lambda total: st.tuples(st.just(total), st.integers(1, total - 1))
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1), draws=st.lists(_DRAWS, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_select_returns_the_sorted_python_ints_of_a_twin_generator(seed, draws):
+    dropper = TaskDropper(np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    for total, keep in draws:
+        chosen = dropper._select(total, keep)
+        expected = sorted(int(i) for i in twin.choice(total, size=keep, replace=False))
+        assert chosen == expected
+        assert all(type(i) is int for i in chosen)
+    assert dropper._rng.bit_generator.state == twin.bit_generator.state

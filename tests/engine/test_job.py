@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.engine.job import Job, JobFactory, StageSpec, effective_task_count
+from repro.engine.job import Job, JobFactory, StageSpec, effective_task_count, wave_time
 
 
 # -------------------------------------------------------- effective_task_count
@@ -153,3 +154,39 @@ def test_factory_multi_stage_profile(job_factory, high_profile):
     job = job_factory.create_job(profile, arrival_time=0.0)
     assert len(job.stages) == 3
     assert [s.index for s in job.stages] == [0, 1, 2]
+
+
+# ------------------------------------------------------------------ wave_time
+def _lpt_heap_wave_time(durations, slots):
+    """LPT on a ``(load, slot)`` heap, with no shortcut for a single wave."""
+    from heapq import heapreplace
+
+    if not durations:
+        return 0.0
+    finish = [(0.0, slot) for slot in range(min(slots, len(durations)))]
+    for duration in sorted(durations, reverse=True):
+        load, slot = finish[0]
+        heapreplace(finish, (load + duration, slot))
+    return max(finish)[0]
+
+
+_TASK_TIMES = st.lists(
+    st.one_of(
+        st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]),
+    ),
+    max_size=40,
+)
+
+
+@given(durations=_TASK_TIMES, spare=st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_wave_time_of_one_wave_equals_the_heap_loop(durations, spare):
+    slots = max(1, len(durations) + spare)
+    assert wave_time(durations, slots) == _lpt_heap_wave_time(durations, slots)
+
+
+@given(durations=_TASK_TIMES, slots=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_wave_time_of_several_waves_equals_the_heap_loop(durations, slots):
+    assert wave_time(durations, slots) == _lpt_heap_wave_time(durations, slots)

@@ -14,7 +14,10 @@ one.  Speed changes and an eviction land at random instants, many of them
 exactly on task ends or phase boundaries, at priorities 0, 1 and 2, or
 between two calls of ``sim.run``.  Both runs must agree on the completion
 and sprinted times, on what ``evict`` returns, and, right after every speed
-change, on the tasks in flight and on what is still to run.
+change, on the tasks in flight and on what is still to run.  An undisturbed
+attempt must also leave every stage's pending tasks, in-flight count, done
+flag, ready order and undispatched work, and the free-slot list, as the
+per-task run leaves them.
 """
 
 from __future__ import annotations
@@ -187,6 +190,30 @@ def test_private_run_matches_the_per_task_path(case):
         private = _run(*args, NULL_HUB, timed_plan)
         per_task = _run(*args, _discarding_hub(), timed_plan)
         assert private == per_task, name
+
+
+def _end_state(job, scheduler, kept_maps, kept_reduces, hub):
+    """Every stage's state and the free slots after an undisturbed attempt."""
+    sim = Simulator()
+    done: List[DagExecution] = []
+    execution = _execution(sim, job, scheduler, kept_maps, kept_reduces, hub, done)
+    execution.start()
+    sim.run()
+    runs = [execution.stage_run(stage.index) for stage in job.dag]
+    stages = [
+        (run.index, run.pending, run.active, run.done, run.ready_seq, run.remaining_work())
+        for run in runs
+    ]
+    return done == [execution], execution.completion_time, stages, execution._free_slots
+
+
+@given(case=_plans())
+@settings(max_examples=80, deadline=None)
+def test_private_run_leaves_every_stage_as_the_per_task_run_does(case):
+    job, kept_maps, kept_reduces, _plan, _actions = case
+    for name in STAGE_SCHEDULERS:
+        args = (job, name, kept_maps, kept_reduces)
+        assert _end_state(*args, NULL_HUB) == _end_state(*args, _discarding_hub()), name
 
 
 def test_only_unobserved_attempts_run_privately():
