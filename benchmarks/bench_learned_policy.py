@@ -3,17 +3,17 @@
 
 Two sections, recorded to ``benchmarks/results/BENCH_learned_policy.json``:
 
-1. **Decision-hook overhead.** The decision-point refactor added one
+1. **Decision-hook overhead.**  The decision-point refactor added one
    attribute check per scheduling/routing decision to the hot paths
    (``DagExecution._fill_slots`` / ``FleetSimulation._route``).  This section
-   times the current hookless path against the retained PR 9 bodies
-   (``benchmarks/_pr9_decisions.py``, monkeypatched verbatim onto the live
-   classes) and **fails (exit 1) when the current path falls below 95% of
-   the PR 9 baseline** — an unattached hook must stay effectively free.
-   The DAG run streams telemetry to a discarding sink, because an
-   unobserved DAG attempt runs on a private heap instead of the per-task
-   path timed here; the section also fails when either patched side never
-   runs.
+   runs a DAG run and a fleet run on this tree and on the tree of
+   ``PRE_HOOK_REF``, the last commit before the hook, each side in a fresh child
+   process, and **fails (exit 1) when this tree falls below 95% of that
+   tree's throughput** on either run, by the median of the per-pair ratios
+   (``gate_refs.py``).  It compares whole trees, not the two decision sites
+   in isolation.  The DAG run streams telemetry to a discarding sink, so
+   both trees run their attempts task by task, through the scheduling
+   decision; each child must report the jobs it completed.
 
 2. **Learned policies vs naive heuristics under common random numbers.**
    Trains the contextual bandits in their decision envs, then evaluates the
@@ -47,143 +47,82 @@ from typing import Callable, Dict, List, Optional
 
 # Measure the tree on PYTHONPATH when there is one (``PYTHONPATH=<tree>/src``);
 # otherwise this checkout's own ``src``.  The report names the tree measured.
+# Child sides load this module too, so it imports nothing else from ``repro``
+# at the top: the reference tree need not have it.
 try:
     import repro
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import repro
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _pr9_decisions import pr9_fill_slots, pr9_route  # noqa: E402
+from gate_refs import (FULL_PAIRS, QUICK_PAIRS, child_side, exported, judge,  # noqa: E402
+                       median_seconds, run_pairs, time_ratios)
 
-from repro.core.policies import SchedulingPolicy  # noqa: E402
-from repro.dag.execution import DagExecution  # noqa: E402
-from repro.dag.simulation import DagSimulation  # noqa: E402
-from repro.env import (  # noqa: E402
-    BuiltinAgent,
-    EnvSpec,
-    EpsilonGreedyAgent,
-    LinUCBAgent,
-    SchedulerAgent,
-    evaluate,
-    train,
-)
-from repro.env.learn import summarise  # noqa: E402
-from repro.fleet.simulation import FleetSimulation  # noqa: E402
-from repro.telemetry import CallbackSink, TelemetryHub  # noqa: E402
-from repro.workloads import scenarios as scenario_module  # noqa: E402
-
+#: The last tree before the decision hook: the hook gate.
+PRE_HOOK_REF = "9bc5bb7"
 HOOK_OVERHEAD_MIN_RATIO = 0.95
+SCRIPT = Path(__file__).resolve()
 
 
-def _policy() -> SchedulingPolicy:
+def _policy():
+    from repro.core.policies import SchedulingPolicy
+
     return SchedulingPolicy.differential_approximation({2: 0.0, 0: 0.2})
 
 
-def _best_of(repeats: int, run_once: Callable[[], float]) -> float:
-    return min(run_once() for _ in range(repeats))
-
-
 # ---------------------------------------------------------------------------
-# Section 1: hook overhead vs the retained PR 9 decision sites
+# Section 1: hook overhead against the tree before the hook
 # ---------------------------------------------------------------------------
-def _discarding_hub() -> TelemetryHub:
-    """An enabled hub that drops every event.
+def _hook_side(num_dag_jobs: int, num_fleet_jobs: int, seed: int) -> Dict[str, Dict[str, float]]:
+    """Child side: the DAG and the fleet run on the tree on PYTHONPATH."""
+    from repro.dag.simulation import DagSimulation
+    from repro.fleet.simulation import FleetSimulation
+    from repro.telemetry import CallbackSink, TelemetryHub
+    from repro.workloads.scenarios import dag_layered_scenario, fleet_two_priority_scenario
 
-    With telemetry off a DAG attempt runs on the execution's private heap,
-    not through the one-kernel-event-per-task dispatch the retained
-    baseline body implements; an enabled hub keeps both sides on the
-    per-task path that this section times.
-    """
     hub = TelemetryHub()
     hub.add_sink(CallbackSink(lambda event: None))
-    return hub
-
-
-def _time_dag_run(num_jobs: int, seed: int) -> float:
-    scenario = scenario_module.dag_layered_scenario(num_jobs=num_jobs)
-    trace = scenario.generate_trace(seed=seed)
-    start = time.perf_counter()
-    DagSimulation(
-        policy=_policy(),
-        jobs=trace,
-        scheduler="critical_path_first",
-        cluster=scenario.cluster,
-        seed=seed,
-        telemetry=_discarding_hub(),
-    ).run()
-    return time.perf_counter() - start
-
-
-def _calls(cls, attr: str, fn: Callable, run_once: Callable[[], float]) -> int:
-    """How often ``fn``, patched in as ``cls.attr``, runs in one untimed run."""
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-
-    original = getattr(cls, attr)
-    setattr(cls, attr, counted)
-    try:
-        run_once()
-    finally:
-        setattr(cls, attr, original)
-    return calls[0]
-
-
-def _time_fleet_run(num_jobs: int, seed: int) -> float:
-    scenario = scenario_module.fleet_two_priority_scenario(
-        num_clusters=4, num_jobs_per_cluster=num_jobs
-    )
-    trace = scenario.generate_trace(seed=seed)
-    clusters = scenario.make_clusters()
-    start = time.perf_counter()
-    FleetSimulation(
-        policy=_policy(),
-        jobs=trace,
-        clusters=clusters,
-        dispatcher="jsq",
-        seed=seed,
-    ).run()
-    return time.perf_counter() - start
+    dag = dag_layered_scenario(num_jobs=num_dag_jobs)
+    fleet = fleet_two_priority_scenario(num_clusters=4, num_jobs_per_cluster=num_fleet_jobs)
+    runs = {
+        "dag": DagSimulation(
+            policy=_policy(), jobs=dag.generate_trace(seed=seed),
+            scheduler="critical_path_first", cluster=dag.cluster, seed=seed, telemetry=hub,
+        ),
+        "fleet": FleetSimulation(
+            policy=_policy(), jobs=fleet.generate_trace(seed=seed),
+            clusters=fleet.make_clusters(), dispatcher="jsq", seed=seed,
+        ),
+    }
+    report = {}
+    for name, simulation in runs.items():
+        start = time.perf_counter()
+        result = simulation.run()
+        report[name] = {"seconds": time.perf_counter() - start,
+                        "work": float(result.completed_jobs)}
+    return report
 
 
 def _measure_hook_overhead(
-    num_dag_jobs: int, num_fleet_jobs: int, repeats: int, seed: int
+    num_dag_jobs: int, num_fleet_jobs: int, pairs: int, seed: int
 ) -> Dict[str, Dict[str, float]]:
-    """Interleave current/pr9 repeats so host drift hits both sides equally."""
+    current = Path(repro.__file__).resolve().parents[1]
+    with exported([PRE_HOOK_REF]) as trees:
+        sides = {label: child_side(src, SCRIPT, "_hook_side", num_dag_jobs=num_dag_jobs,
+                                   num_fleet_jobs=num_fleet_jobs, seed=seed)
+                 for label, src in (("current", current), ("pr9", trees[PRE_HOOK_REF]))}
+        reports = run_pairs(sides, pairs)
     sections = {}
-    patches = {
-        "dag": (DagExecution, "_fill_slots", pr9_fill_slots,
-                lambda: _time_dag_run(num_dag_jobs, seed)),
-        "fleet": (FleetSimulation, "_route", pr9_route,
-                  lambda: _time_fleet_run(num_fleet_jobs, seed)),
-    }
-    for name, (cls, attr, baseline_fn, run_once) in patches.items():
-        # A gate that times code neither side runs measures nothing.
-        for fn in (getattr(cls, attr), baseline_fn):
-            if not _calls(cls, attr, fn, run_once):
-                raise SystemExit(
-                    f"FAIL: {cls.__name__}.{attr} ({fn.__module__}) never ran in "
-                    f"the {name} hook-overhead run"
-                )
-        current_times: List[float] = []
-        baseline_times: List[float] = []
-        original = getattr(cls, attr)
-        for _ in range(repeats):
-            current_times.append(run_once())
-            setattr(cls, attr, baseline_fn)
-            try:
-                baseline_times.append(run_once())
-            finally:
-                setattr(cls, attr, original)
-        current = min(current_times)
-        baseline = min(baseline_times)
+    for name in ("dag", "fleet"):
+        ratio, passed = judge(f"{name} current_vs_pr9 ({PRE_HOOK_REF})",
+                              time_ratios(reports, "pr9", "current", name),
+                              at_least=HOOK_OVERHEAD_MIN_RATIO)
         sections[name] = {
-            "pr9_seconds": baseline,
-            "current_seconds": current,
-            "current_vs_pr9": baseline / current,
+            "pr9_seconds": median_seconds(reports["pr9"], name),
+            "current_seconds": median_seconds(reports["current"], name),
+            "current_vs_pr9": ratio["median"],
+            "current_vs_pr9_quartiles": [ratio["q1"], ratio["q3"]],
+            "passed": passed,
         }
     return sections
 
@@ -192,7 +131,7 @@ def _measure_hook_overhead(
 # Section 2: learned policies vs naive heuristics (CRN)
 # ---------------------------------------------------------------------------
 def _duel(
-    spec: EnvSpec,
+    spec,
     agent,
     baselines: Dict[str, Callable[[], tuple]],
     train_episodes: int,
@@ -204,6 +143,9 @@ def _duel(
     ``baselines`` maps a display name to a ``() -> (spec, agent)`` thunk so
     routing baselines can swap the dispatcher while reusing the seeds.
     """
+    from repro.env import evaluate, train
+    from repro.env.learn import summarise
+
     history = train(spec, agent, episodes=train_episodes)
     key = spec.key_metric
     summary: Dict[str, Dict[str, float]] = {
@@ -229,6 +171,8 @@ def _duel(
 
 
 def _routing_duel(quick: bool) -> Dict[str, object]:
+    from repro.env import BuiltinAgent, EnvSpec, LinUCBAgent
+
     spec = EnvSpec(
         env="routing",
         policy=_policy(),
@@ -250,6 +194,8 @@ def _routing_duel(quick: bool) -> Dict[str, object]:
 
 
 def _scheduling_duel(quick: bool) -> Dict[str, object]:
+    from repro.env import EnvSpec, EpsilonGreedyAgent, SchedulerAgent
+
     spec = EnvSpec(
         env="scheduling",
         policy=_policy(),
@@ -289,16 +235,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The overhead gate compares two near-identical hot paths at a 5% margin
-    # on sub-second runs; best-of needs enough rounds to beat host noise.
     if args.quick:
-        dag_jobs, fleet_jobs, repeats = 8, 60, 7
+        dag_jobs, fleet_jobs, pairs = 8, 60, QUICK_PAIRS
     else:
-        dag_jobs, fleet_jobs, repeats = 25, 150, 7
+        dag_jobs, fleet_jobs, pairs = 25, 150, FULL_PAIRS
 
     print(f"measuring {repro.__file__}")
-    print("== Decision-hook overhead (current hookless path vs retained PR 9) ==")
-    overhead = _measure_hook_overhead(dag_jobs, fleet_jobs, repeats, args.seed)
+    print(f"== Decision-hook overhead (current hookless path vs {PRE_HOOK_REF}) ==")
+    overhead = _measure_hook_overhead(dag_jobs, fleet_jobs, pairs, args.seed)
     for name, section in overhead.items():
         print(f"{name}: pr9 {section['pr9_seconds']:.3f}s   "
               f"current {section['current_seconds']:.3f}s   "
@@ -326,6 +270,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": args.quick,
+        "refs": {"pr9": PRE_HOOK_REF},
+        "pairs": pairs,
         "hook_overhead": overhead,
         "routing": routing,
         "scheduling": scheduling,
@@ -345,12 +291,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {output}")
 
     failed = False
-    worst = min(section["current_vs_pr9"] for section in overhead.values())
-    if worst < HOOK_OVERHEAD_MIN_RATIO:
+    for name, section in overhead.items():
+        if section["passed"]:
+            continue
         print(
-            f"FAIL: hookless decision path at {worst:.3f}x of the PR 9 "
-            f"baseline (threshold {HOOK_OVERHEAD_MIN_RATIO}) — the unattached "
-            "hook must stay effectively free",
+            f"FAIL: {name}: hookless decision path at a median "
+            f"{section['current_vs_pr9']:.3f}x of the pre-hook tree ({PRE_HOOK_REF}, "
+            f"threshold {HOOK_OVERHEAD_MIN_RATIO}) — the unattached hook must "
+            "stay effectively free",
             file=sys.stderr,
         )
         failed = True

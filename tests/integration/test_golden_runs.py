@@ -53,7 +53,7 @@ _MAPREDUCE_FAULTS = (
     "taskfail:p=0.05,retries=2"
 )
 
-#: name -> CLI arguments; ``{telemetry}``/``{trace}`` become output paths.
+#: name -> CLI arguments; ``{telemetry}``/``{trace}``/``{replay}`` become paths.
 CLI_RUNS: Dict[str, list] = {
     "dag-cpfirst-traced-sampled": [
         "dag", "--scheduler", "critical_path_first", "--num-jobs", "40",
@@ -110,6 +110,19 @@ CLI_RUNS: Dict[str, list] = {
         "compare", "--scenario", "reference", "--policies", "P", "NP",
         "DA(0/20)", "--num-jobs", "60",
     ],
+    # Streaming ingest of the trace that CLI_INPUTS synthesizes.
+    "fleet-replay": [
+        "fleet", "--replay", "{replay}", "--clusters", "2",
+        "--telemetry", "{telemetry}", "--telemetry-interval", "50",
+    ],
+}
+
+#: name -> CLI arguments run first, to write the ``{replay}`` input of a run.
+CLI_INPUTS: Dict[str, list] = {
+    "fleet-replay": [
+        "synth-trace", "--out", "{replay}", "--mix", "google", "--num-jobs", "300",
+        "--tasks-per-job", "4", "--seed", "7",
+    ],
 }
 
 
@@ -129,10 +142,21 @@ def _read(path: str) -> bytes:
 def _cli_digest(name: str, workdir: str) -> str:
     telemetry = os.path.join(workdir, f"{name}.jsonl")
     trace = os.path.join(workdir, f"{name}.trace.json")
-    argv = [arg.format(telemetry=telemetry, trace=trace) for arg in CLI_RUNS[name]]
+    # The replay input is named relative to ``workdir``: the report prints
+    # and underlines it, so its length must not depend on the directory.
+    paths = {"telemetry": telemetry, "trace": trace, "replay": f"{name}.input.jsonl"}
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            if name in CLI_INPUTS:
+                assert main([arg.format(**paths) for arg in CLI_INPUTS[name]]) == 0
+                out.truncate(0)
+                out.seek(0)
+            code = main([arg.format(**paths) for arg in CLI_RUNS[name]])
+    finally:
+        os.chdir(cwd)
     assert code == 0, out.getvalue()
     stdout = out.getvalue().replace(workdir, "<dir>").encode()
     parts = [stdout]
@@ -322,6 +346,7 @@ GOLDEN: Dict[str, str] = {
     "dag-sprinting-unobserved": "e68247e1433cc77dd34720bc9cd05ac8a64f39090b65bea58f00be5c02d3060e",
     "dag-job-source-unobserved": "22e75951b1ccb1cf7b1d11dbd4f8a889211d242dec42978d847b95d2e813e6cd",
     "compare-unobserved": "69633d66154c74d969c503d3a1a7b38b72a0bfb3fb61e0218f79fb79dafe4041",
+    "fleet-replay": "aeeeb9dddbc03a8544e5c02d180172164c652a2c1a0f57304b94745358ad7e8a",
     "dias-sprinting-unobserved": "57630748a151bc0f10eb17835243fc2dd5eef474108b1786b4a845db90a975be",
     "fleet-shared-streaming-unobserved": "5c3ae7e42663ae5a91d336d17501b3aed7a78600c57f5a25751fdcd831601deb",
 }
