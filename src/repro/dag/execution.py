@@ -12,15 +12,19 @@ holds: all map tasks, then the (serial) shuffle, then all reduce tasks.
 Like its linear counterpart, the execution inherits the attempt lifecycle
 of :class:`~repro.engine.execution.Execution` — DVFS rescaling, eviction and
 fault recovery — so the DiAS controller machinery (sprinter, energy meter,
-preemptive baseline) drives DAG jobs unchanged.
+preemptive baseline) drives DAG jobs unchanged.  On the per-task path every
+task starts in the base's ``_start_task`` and ends in the base's per-slot
+callback, with or without a fault injector: a task that did not fail goes
+to :meth:`DagExecution._on_task_succeeded` (finish its stage, activate the
+children it frees), then to ``_release_slot`` (free the slot and refill).
 
 **Private runs.**  An unobserved attempt — no fault injector, a disabled
 telemetry hub and no decision hook — runs privately (see
 :mod:`repro.engine.execution`): :meth:`DagExecution.start` runs it to the end
 at once on a private ``(time, seq)`` heap of task ends.  The private run is
-one loop of its own: it does not call the per-task path's ``_task_done``,
-``_activate_stage`` or ``_fill_slots``, but repeats what they do, inline and
-without telemetry.  What keeps the two paths equal is that the loop makes
+one loop of its own: it does not call the per-task path's
+``_on_task_succeeded``, ``_activate_stage`` or ``_fill_slots``, but repeats
+what they do, inline and without telemetry.  What keeps the two paths equal is that the loop makes
 the same state changes in the same order: the same float expressions for
 task ends and undispatched work, the same ``(time, dispatch seq)`` tie
 order, the same ready order (a cascade of stages emptied by dropping runs
@@ -458,7 +462,6 @@ class DagExecution(Execution):
         free = self._free_slots
         frontier = self._frontier
         ordered = self._ordered
-        speed = self._speed
         now = self.sim.now
         # Ordered path: the frontier holds only ready, not-done stages in
         # pick order, and a pick only makes its own stage less dispatchable,
@@ -489,33 +492,14 @@ class DagExecution(Execution):
                             f"for {len(eligible)} dispatchable stage(s)"
                         )
                     run = eligible[choice]
-            slot = free.pop()
-            duration = run.pop_task()
-            if self._faults is not None:
-                self._start_task(slot, run, duration, attempt=1)
-            else:
-                callbacks = self._task_callbacks
-                callback = callbacks.get(slot)
-                if callback is None:
-                    callback = callbacks[slot] = self._make_task_callback(slot)
-                telemetry = self.telemetry
-                self._active[slot] = _ActiveTask(
-                    slot,
-                    self.sim.schedule(duration / speed, callback, priority=1),
-                    speed,
-                    now,
-                    telemetry.new_span_id() if telemetry.tracing else 0,
-                    run,
-                )
+            self._start_task(free.pop(), run, run.pop_task())
 
     # --------------------------------------------------------- completion
     def _on_task_succeeded(self, active: _ActiveTask) -> None:
+        """A task of a stage ended: finish stages, then free and refill."""
         if active.span_id:
             self._emit_task_span(active)
-        self._task_done(active.slot, active.stage_run)
-
-    def _task_done(self, slot: int, run: StageRun) -> None:
-        """A task of ``run`` freed ``slot``: finish stages, then refill."""
+        run = active.stage_run
         if run.task_finished():
             self._frontier.remove(run)
             if run.span_id:
@@ -525,12 +509,7 @@ class DagExecution(Execution):
                 child.unfinished_parents -= 1
                 if child.unfinished_parents == 0:
                     self._activate_stage(child)
-        # ``_release_slot`` inlined: this is the DAG core's per-task path.
-        self._free_slots.append(slot)
-        if self._remaining_stages == 0 and not self._active and not self._retries:
-            self._finish()
-            return
-        self._fill_slots()
+        self._release_slot(active.slot)
 
     def _release_slot(self, slot: int) -> None:
         self._free_slots.append(slot)
@@ -561,7 +540,7 @@ class DagExecution(Execution):
         the time of the last private event that ran (``None`` if none did).
 
         One loop serves every scheduler.  It does what ``_activate_stage``,
-        ``_task_done`` and ``_fill_slots`` do on the per-task path, without
+        ``_on_task_succeeded`` and ``_fill_slots`` do on the per-task path, without
         telemetry and without a call per task: ordered frontiers resume a
         cursor, the others call ``scheduler.select`` on the eligible stages.
         The free-slot list is last in, first out, so the slot a task just

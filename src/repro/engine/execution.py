@@ -10,10 +10,17 @@ supports the two dynamic operations DiAS needs:
   account resource waste (the job restarts from scratch later, as in the
   paper's SIGKILL-based prototype).
 
-Under fault injection it also owns task-level recovery: the straggler and
-failure draws at dispatch, retries with capped exponential backoff, and the
-requeue of work lost to a worker crash.  Subclasses decide only which task a
-free slot runs next and how the attempt is traced.
+**One dispatch, one end.**  Every task of the per-task path starts in
+:meth:`Execution._start_task`, with or without a fault injector: without
+one it draws nothing and runs the task at slowdown 1.0.  Every task end runs
+one per-slot callback, which hands a task drawn to fail to the fault
+machinery (retries with capped exponential backoff, then a job-level give
+up) and lets a finished task free or refill its slot.  Faults are policies
+plugged into that one path: the draws at dispatch, a straggler hook
+(``_on_straggler``, where :class:`JobExecution` schedules its speculation
+check), the failure branch of the task end, and the requeue of work lost to
+a worker crash.  Subclasses decide only which task a free slot runs next and
+how the attempt is traced.
 
 :class:`JobExecution` runs a MapReduce job as a sequence of *phases*: the
 setup (overhead) stage, then for each map/reduce stage pair the map tasks, the
@@ -140,18 +147,18 @@ class _ActiveTask:
 
     ``started_at`` keeps the task's original dispatch time across DVFS
     reschedules for span tracing, ``span_id`` is the task's pre-allocated
-    trace span (0 when tracing is off), and ``stage_run`` is the DAG stage the
-    task serves (``None`` for a MapReduce task and for a DAG job's setup).
+    trace span (0 when tracing is off), ``stage_run`` is the DAG stage the
+    task serves (``None`` for a MapReduce task and for a DAG job's setup),
+    and ``base`` is the task's nominal duration (before straggler slowdown,
+    the amount re-queued if the hosting worker crashes).
 
     The remaining fields only carry information under fault injection:
-    ``base`` is the task's nominal duration (before straggler slowdown, the
-    amount re-queued if the hosting worker crashes), ``attempt`` counts
-    executions of this task on this slot, ``will_fail`` marks a transient
-    failure drawn at dispatch time, ``spec_event`` is the pending
-    speculation-check event of a straggling task (cancelled with the task on
-    eviction or a crash), and ``copy_of`` / ``copy_slot`` link a speculative
-    copy to its straggling primary (the last three are only set by
-    :class:`JobExecution`).
+    ``attempt`` counts executions of this task on this slot, ``will_fail``
+    marks a transient failure drawn at dispatch time, ``spec_event`` is the
+    pending speculation-check event of a straggling task (cancelled with the
+    task on eviction or a crash), and ``copy_of`` / ``copy_slot`` link a
+    speculative copy to its straggling primary (the last three are only set
+    by :class:`JobExecution`).
     """
 
     slot: int
@@ -171,12 +178,18 @@ class _ActiveTask:
 class Execution:
     """One attempt of a job on the cluster: DVFS, eviction and fault recovery.
 
-    A subclass says which task a free slot runs next and how it traces, by
+    :meth:`_start_task` is the one task dispatch and the per-slot callback of
+    :meth:`_make_task_callback` the one task end; a fault injector changes
+    what they draw and where a failed task goes, not which code runs.  A
+    subclass says which task a free slot runs next and how it traces, by
     defining :meth:`_begin` (enter the first phase or stage), :meth:`_refill`
     (fill the free slots), :meth:`_release_slot` (a slot is done with its
-    task), :meth:`_on_task_succeeded`, :meth:`_requeue` (a lost task goes
-    back to its queue), :meth:`_close_spans` (on eviction) and
-    :meth:`_emit_task_span`.
+    task), :meth:`_on_task_succeeded` (the end of a task that did not fail,
+    under the base callback; :class:`JobExecution` replaces the callback
+    instead), :meth:`_requeue` (a lost task goes back to its queue),
+    :meth:`_close_spans` (on eviction), :meth:`_emit_task_span` and
+    :meth:`_materialise`; :meth:`_on_straggler` may add to what a straggling
+    draw does.
     """
 
     def __init__(
@@ -199,8 +212,8 @@ class Execution:
         self.telemetry_src = telemetry_src
         #: Span id of the enclosing attempt span when tracing (0 otherwise).
         self.trace_parent = trace_parent
-        #: Optional :class:`~repro.faults.injector.FaultInjector`; ``None``
-        #: keeps every per-task code path on the fast branch.
+        #: Optional :class:`~repro.faults.injector.FaultInjector`; with
+        #: ``None`` a task dispatch draws nothing and no task fails.
         self._faults = faults
         #: Called when a task exhausts its transient-failure retries; the
         #: controller escalates to a job-level re-execution.
@@ -260,11 +273,7 @@ class Execution:
         self._start_mark = (self.sim.processed_events, self.sim._running)
         self._speed = float(speed) if speed is not None else self.cluster.speed
         self._speed_since = self.sim.now
-        self._free_slots = (
-            list(range(self.cluster.slots))
-            if self._faults is None
-            else self.cluster.free_slot_ids()
-        )
+        self._free_slots = self.cluster.free_slot_ids()
         self._begin()
 
     def set_speed(self, speed: float) -> None:
@@ -491,45 +500,58 @@ class Execution:
 
         return _callback
 
-    # ------------------------------------------------------ fault machinery
+    # --------------------------------------------------------- task dispatch
     def _start_task(
-        self, slot: int, stage_run: Optional[StageRun], base: float, attempt: int
-    ) -> float:
-        """Dispatch one attempt of a task under fault injection.
+        self, slot: int, stage_run: Optional[StageRun], base: float, attempt: int = 1
+    ) -> None:
+        """Dispatch one execution of a task of nominal duration ``base``.
 
-        Draw order is fixed (slowdown, then failure) so the fault streams
-        advance identically regardless of scheduling interleavings.  Returns
-        the drawn slowdown.
+        Every task of the per-task path starts here.  Under a fault injector
+        the draw order is fixed (slowdown, then failure) so the fault streams
+        advance identically regardless of scheduling interleavings.  Without
+        one nothing is drawn and the slowdown is 1.0: ``base * 1.0`` is
+        ``base`` exactly, so the task ends at the same instant to the bit.
         """
         faults = self._faults
-        now = self.sim.now
-        slowdown = faults.draw_slowdown()
-        will_fail = faults.draw_task_failure()
-        event = self.sim.schedule(
-            base * slowdown / self._speed, self._task_callback(slot), priority=1
-        )
-        self._active[slot] = _ActiveTask(
+        if faults is None:
+            slowdown = 1.0
+            will_fail = False
+        else:
+            slowdown = faults.draw_slowdown()
+            will_fail = faults.draw_task_failure()
+        callbacks = self._task_callbacks
+        if slot not in callbacks:
+            callbacks[slot] = self._make_task_callback(slot)
+        sim = self.sim
+        speed = self._speed
+        telemetry = self.telemetry
+        active = self._active[slot] = _ActiveTask(
             slot,
-            event,
-            self._speed,
-            now,
-            self.telemetry.new_span_id() if self.telemetry.tracing else 0,
+            sim.schedule(base * slowdown / speed, callbacks[slot], priority=1),
+            speed,
+            sim.now,
+            telemetry.new_span_id() if telemetry.tracing else 0,
             stage_run,
             base,
             attempt,
             will_fail,
         )
-        if slowdown > 1.0 and self.telemetry.enabled:
+        if slowdown > 1.0:
+            self._on_straggler(active, slowdown)
+
+    def _on_straggler(self, active: _ActiveTask, slowdown: float) -> None:
+        """The task ``active`` just drew a straggler ``slowdown`` above 1."""
+        if self.telemetry.enabled:
             self.telemetry.emit(
                 "fault.straggler",
-                now,
+                self.sim.now,
                 src=self.telemetry_src,
                 job_id=self.job.job_id,
-                slot=slot,
+                slot=active.slot,
                 slowdown=slowdown,
             )
-        return slowdown
 
+    # ------------------------------------------------------ fault machinery
     def _note_task_failure(self, active: _ActiveTask) -> None:
         self._faults.note_task_failure()
         if self.telemetry.enabled:
@@ -767,116 +789,86 @@ class JobExecution(Execution):
             return
         if self.telemetry.tracing:
             self._phase_span = (self.telemetry.new_span_id(), self.sim.now)
-        self._pending = phase.durations[::-1]
+        pending = self._pending = phase.durations[::-1]
         self._parallel = phase.parallel
-        self._free_slots = (
-            list(range(self.cluster.slots))
-            if self._faults is None
-            else self.cluster.free_slot_ids()
-        )
-        slots_to_fill = len(self._free_slots) if phase.parallel else 1
-        for _ in range(min(slots_to_fill, len(self._pending))):
-            self._dispatch_next_task()
-
-    def _dispatch_next_task(self) -> None:
-        if not self._pending or not self._free_slots:
-            return
-        slot = self._free_slots.pop()
-        duration = self._pending.pop()
-        if self._faults is not None:
-            self._start_task(slot, None, duration, 1)
-            return
-        self._active[slot] = _ActiveTask(
-            slot,
-            self.sim.schedule(
-                duration / self._speed, self._task_callback(slot), priority=1
-            ),
-            self._speed,
-            self.sim.now,
-            self.telemetry.new_span_id() if self.telemetry.tracing else 0,
-        )
+        free = self._free_slots = self.cluster.free_slot_ids()
+        for _ in range(min(len(free) if phase.parallel else 1, len(pending))):
+            self._start_task(free.pop(), None, pending.pop())
 
     def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        if self._faults is not None:
-            return super()._make_task_callback(slot)
-
         active_tasks = self._active
-        callbacks = self._task_callbacks
-        telemetry = self.telemetry
+        retries = self._retries
 
-        def _callback(sim: Simulator) -> None:
-            # The one no-fault completion path.  A freed slot that the phase
-            # can still use takes the next pending task at once instead of
-            # round-tripping through ``_free_slots``.  The callback looks
-            # itself up in ``callbacks``: closing over itself would make a
-            # cycle that clearing the dict does not break.
+        def _callback(_sim: Simulator) -> None:
+            # The one task end.  A failure goes to the fault machinery; a
+            # success settles its speculation check or copy, if it has one,
+            # and the freed slot takes the next pending task at once when
+            # the phase can use it, instead of round-tripping through
+            # ``_free_slots`` (the rule ``_release_slot`` applies).
             active = active_tasks.pop(slot, None)
             if active is None:  # finished or evicted
                 return
+            if active.will_fail:
+                self._on_task_failed(active)
+                return
+            if (
+                active.spec_event is not None
+                or active.copy_of >= 0
+                or active.copy_slot >= 0
+            ):
+                self._settle_speculation(active)
             if active.span_id:
                 self._emit_task_span(active)
             pending = self._pending
-            if pending and (self._parallel or not active_tasks):
-                now = sim.now
-                speed = self._speed
-                active_tasks[slot] = _ActiveTask(
-                    slot,
-                    sim.schedule(pending.pop() / speed, callbacks[slot], priority=1),
-                    speed,
-                    now,
-                    telemetry.new_span_id() if telemetry.tracing else 0,
-                )
+            if pending and (self._parallel or not (active_tasks or retries)):
+                self._start_task(slot, None, pending.pop())
                 return
             self._free_slots.append(slot)
-            if not pending and not active_tasks:
+            if not pending and not active_tasks and not retries:
                 self._advance_phase()
 
         return _callback
 
     def _release_slot(self, slot: int) -> None:
-        """Free ``slot`` and continue the wave (fault-injection path)."""
-        self._free_slots.append(slot)
-        phase = self.current_phase
-        if self._pending and (
-            phase is None or phase.parallel or not (self._active or self._retries)
-        ):
-            self._dispatch_next_task()
+        """Continue the wave on ``slot``, freed by a failed task.
+
+        The rule of the task end: the slot takes the next pending task if
+        the phase can use it, else it joins the free pool.
+        """
+        pending = self._pending
+        if pending and (self._parallel or not (self._active or self._retries)):
+            self._start_task(slot, None, pending.pop())
             return
-        if not self._pending and not self._active and not self._retries:
+        self._free_slots.append(slot)
+        if not pending and not self._active and not self._retries:
             self._advance_phase()
 
     def _refill(self) -> None:
-        phase = self.current_phase
-        while self._pending and self._free_slots:
-            if (
-                phase is not None
-                and not phase.parallel
-                and (self._active or self._retries)
-            ):
-                return
-            self._dispatch_next_task()
-        if not self._pending and not self._active and not self._retries:
+        pending = self._pending
+        free = self._free_slots
+        while pending and free and (
+            self._parallel or not (self._active or self._retries)
+        ):
+            self._start_task(free.pop(), None, pending.pop())
+        if not pending and not self._active and not self._retries:
             self._advance_phase()
 
     def _requeue(self, base: float, stage_run: Optional[StageRun]) -> None:
         self._pending.insert(0, base)
 
     # -------------------------------------------------- speculative copies
-    def _start_task(
-        self, slot: int, stage_run: Optional[StageRun], base: float, attempt: int
-    ) -> float:
-        slowdown = super()._start_task(slot, stage_run, base, attempt)
+    def _on_straggler(self, active: _ActiveTask, slowdown: float) -> None:
+        super()._on_straggler(active, slowdown)
         factor = self._faults.speculation_factor
-        if slowdown > 1.0 and factor > 0.0:
+        if factor > 0.0:
             # The speculation check fires once the task has overrun
             # ``factor`` times its nominal duration; the check deadline
             # is fixed at dispatch speed (DVFS changes don't move it).
-            self._active[slot].spec_event = self.sim.schedule(
-                base * factor / self._speed,
-                self._make_speculation_callback(slot),
+            active.spec_event = self.sim.schedule(
+                active.base * factor / active.speed,
+                self._make_speculation_callback(active.slot),
                 priority=3,
             )
-        return slowdown
 
     def _make_speculation_callback(self, slot: int) -> Callable[[Simulator], None]:
         def _callback(_sim: Simulator) -> None:
@@ -927,7 +919,8 @@ class JobExecution(Execution):
             active.spec_event.cancel()
             active.spec_event = None
 
-    def _on_task_succeeded(self, active: _ActiveTask) -> None:
+    def _settle_speculation(self, active: _ActiveTask) -> None:
+        """``active`` succeeded: drop its pending check and any losing twin."""
         self._cancel_speculation_check(active)
         # First finisher of a primary/copy pair wins; the loser is cancelled
         # through the kernel's existing cancellation path.
@@ -947,9 +940,6 @@ class JobExecution(Execution):
                 if copy.span_id:
                     self._emit_task_span(copy, outcome="cancelled")
                 self._free_slots.append(copy.slot)
-        if active.span_id:
-            self._emit_task_span(active)
-        self._release_slot(active.slot)
 
     def _on_task_failed(self, active: _ActiveTask) -> None:
         self._cancel_speculation_check(active)
