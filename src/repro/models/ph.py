@@ -23,7 +23,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class PhaseType:
@@ -106,6 +105,10 @@ class PhaseType:
         """``P(X ≤ x)``."""
         if x < 0:
             return 0.0
+        # scipy is imported where it is used, so importing ``repro`` does
+        # not load it.
+        from scipy.linalg import expm
+
         ones = np.ones(self.order)
         return float(1.0 - self.alpha @ expm(self.T * x) @ ones)
 
@@ -117,6 +120,8 @@ class PhaseType:
         """Density ``f(x) = alpha · exp(Tx) · t``."""
         if x < 0:
             return 0.0
+        from scipy.linalg import expm
+
         return float(self.alpha @ expm(self.T * x) @ self.exit_rates)
 
     def quantile(self, q: float, tol: float = 1e-8, max_iter: int = 200) -> float:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from scipy import stats
-
 
 def replication_seed(base_seed: int, index: int) -> int:
     """Seed of the ``index``-th replication rooted at ``base_seed``.
@@ -70,6 +68,10 @@ def confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=float("inf"),
                                   confidence=confidence, replications=1)
+    # Imported here: scipy.stats takes over a second to import, and only
+    # replicated runs need it.
+    from scipy import stats
+
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std_error = math.sqrt(variance / n)
     t_value = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
