@@ -45,7 +45,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from repro.traces.schema import TraceFormatError, TraceJob, TraceStage
+from repro.traces.schema import (
+    TraceFormatError,
+    TraceJob,
+    TraceStage,
+    check_task_count,
+)
 
 CLUSTER_CSV = "cluster-csv"
 CLUSTER_JSONL = "cluster-jsonl"
@@ -195,6 +200,8 @@ def _parse_csv_row(text: str) -> TraceJob:
         raise TraceFormatError(f"job {job_id}: num_tasks must be at least 1")
     if num_reduce < 0:
         raise TraceFormatError(f"job {job_id}: num_reduce_tasks must be non-negative")
+    check_task_count(f"job {job_id}: num_tasks", num_tasks)
+    check_task_count(f"job {job_id}: num_reduce_tasks", num_reduce)
     stage = TraceStage(
         index=0,
         map_durations=(task_time,) * num_tasks,
@@ -245,6 +252,7 @@ def _parse_dag_object(obj: Dict, wave_width: int) -> TraceJob:
         num_tasks = int(raw["n"])
         if num_tasks < 1:
             raise TraceFormatError(f"stage {index}: task count must be at least 1")
+        check_task_count(f"stage {index}: task count", num_tasks)
         durations = [float(t) for t in raw.get("fw", ())]
         durations += [float(t) for t in raw.get("rw", ())]
         if not durations:

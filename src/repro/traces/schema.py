@@ -24,6 +24,20 @@ class TraceFormatError(ValueError):
     """A trace file or record violates the trace-format contract."""
 
 
+#: The most tasks one stage of a trace record may declare.  A record states
+#: a task count in a few bytes, and the parsers materialise one duration per
+#: task, so a larger count is rejected before anything is built.
+MAX_TASKS_PER_STAGE = 100_000
+
+
+def check_task_count(what: str, count: int) -> None:
+    """Reject a declared task ``count`` above :data:`MAX_TASKS_PER_STAGE`."""
+    if count > MAX_TASKS_PER_STAGE:
+        raise TraceFormatError(
+            f"{what} {count} exceeds the limit of {MAX_TASKS_PER_STAGE} tasks per stage"
+        )
+
+
 #: Job kinds: ``linear`` (a chain of map/reduce stages, replayed into the
 #: fleet layer) and ``dag`` (stage-dependency jobs, replayed into the DAG
 #: layer).

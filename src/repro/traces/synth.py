@@ -30,7 +30,12 @@ from repro.traces.formats import (
     TraceMeta,
     write_trace,
 )
-from repro.traces.schema import TraceFormatError, TraceJob, TraceStage
+from repro.traces.schema import (
+    MAX_TASKS_PER_STAGE,
+    TraceFormatError,
+    TraceJob,
+    TraceStage,
+)
 from repro.workloads.dag import DagJobFactory
 from repro.workloads.jobs import allocate_class_counts
 
@@ -183,6 +188,11 @@ def compact_profiles(scenario, tasks_per_job: int):
     """
     if tasks_per_job < 1:
         raise ValueError("tasks_per_job must be at least 1")
+    if tasks_per_job > MAX_TASKS_PER_STAGE:
+        # A replay would refuse the trace, so refuse to write it.
+        raise ValueError(
+            f"tasks_per_job must be at most {MAX_TASKS_PER_STAGE} (the trace limit per stage)"
+        )
     profiles = {
         priority: replace(
             profile,

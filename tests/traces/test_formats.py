@@ -15,7 +15,14 @@ from repro.traces.formats import (
     read_trace_meta,
     write_trace,
 )
-from repro.traces.schema import TraceFormatError, TraceJob, TraceStage
+from repro.traces.schema import (
+    MAX_TASKS_PER_STAGE,
+    TraceFormatError,
+    TraceJob,
+    TraceStage,
+)
+from repro.traces.synth import compact_profiles
+from repro.workloads.traces import google_mix_scenario
 
 
 def _uniform_job(job_id, arrival, priority=0):
@@ -296,3 +303,64 @@ def test_dag_short_stage_records_cycle(tmp_path):
     path.write_text(header + "\n" + body + "\n")
     (job,) = list(iter_trace(str(path)))
     assert job.stages[0].map_durations == (1.0, 2.0, 1.0, 2.0, 1.0)
+
+
+# ------------------------------------------------- declared task counts
+def _dag_record_file(tmp_path, num_tasks):
+    path = tmp_path / "t.jsonl"
+    header = json.dumps({"repro_trace": {"format": DAG_JSONL}})
+    body = json.dumps({"id": 0, "t": 0.0, "p": 0, "mb": 1.0,
+                       "stages": [{"n": num_tasks, "fw": [1.0]}], "adj": [[0]]})
+    path.write_text(header + "\n" + body + "\n")
+    return str(path), body
+
+
+def _csv_row_file(tmp_path, num_tasks, num_reduce):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "job_id,arrival_time,priority,size_mb,num_tasks,task_time,"
+        "num_reduce_tasks,reduce_time,shuffle_time\n"
+        "0,0.0,1,100.0,4,2.0,1,3.0,0.5\n"
+        f"1,1.0,1,100.0,{num_tasks},2.0,{num_reduce},3.0,0.5\n"
+    )
+    return str(path)
+
+
+def test_a_short_dag_record_cannot_declare_millions_of_tasks(tmp_path):
+    path, body = _dag_record_file(tmp_path, 2_000_000)
+    assert len(body) < 100
+    with pytest.raises(TraceFormatError) as excinfo:
+        list(iter_trace(path))
+    assert str(excinfo.value).endswith(
+        f"t.jsonl: line 2: stage 0: task count 2000000 exceeds the limit of "
+        f"{MAX_TASKS_PER_STAGE} tasks per stage"
+    )
+
+
+@pytest.mark.parametrize(
+    "num_tasks, num_reduce, field",
+    [(2_000_000, 1, "num_tasks"), (4, MAX_TASKS_PER_STAGE + 1, "num_reduce_tasks")],
+)
+def test_a_csv_row_cannot_declare_more_tasks_than_the_limit(
+    tmp_path, num_tasks, num_reduce, field
+):
+    path = _csv_row_file(tmp_path, num_tasks, num_reduce)
+    with pytest.raises(TraceFormatError, match=f"t.csv: line 3: job 1: {field} "):
+        list(iter_trace(path))
+
+
+def test_task_counts_at_the_limit_parse(tmp_path):
+    path, _ = _dag_record_file(tmp_path, MAX_TASKS_PER_STAGE)
+    (job,) = list(iter_trace(path))
+    assert len(job.stages[0].map_durations) == MAX_TASKS_PER_STAGE
+    path = _csv_row_file(tmp_path, MAX_TASKS_PER_STAGE, MAX_TASKS_PER_STAGE)
+    _, job = list(iter_trace(path))
+    assert len(job.stages[0].map_durations) == MAX_TASKS_PER_STAGE
+    assert len(job.stages[0].reduce_durations) == MAX_TASKS_PER_STAGE
+
+
+def test_synthesis_refuses_jobs_a_replay_would_refuse():
+    scenario = google_mix_scenario(num_classes=2)
+    compact_profiles(scenario, MAX_TASKS_PER_STAGE)
+    with pytest.raises(ValueError, match="at most 100000"):
+        compact_profiles(scenario, MAX_TASKS_PER_STAGE + 1)
