@@ -644,7 +644,7 @@ class DiASSimulation:
             return
         # Annotate before eviction so the trace records *why* the attempt
         # was aborted, not just that it was evicted.
-        self.probe.restarting(execution, reason)
+        execution.mark_fault(reason)
         self.faults.note_job_restart()
         self._evict_running(restart=reason)
 

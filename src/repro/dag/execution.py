@@ -60,7 +60,7 @@ from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
 from repro.simulation.des import Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
-#: Sentinel slot key for the job-level setup task.
+#: Sentinel slot key for the job-level setup task, and its span group's key.
 _SETUP_SLOT = -1
 
 _position = attrgetter("position")
@@ -91,13 +91,10 @@ class StageRun:
         #: execution once every run exists).
         self.children: List[StageRun] = []
         #: Position in the job's topological stage order; the frontier is
-        #: kept sorted by it so candidates come in full-scan order.
+        #: kept sorted by it so candidates come in full-scan order.  It is
+        #: also the key of the stage's span group.
         self.position = position
         self.rank = 0.0
-        # Trace span of this stage (0 / unset while tracing is off); opened
-        # at activation, emitted when the stage finishes or is evicted.
-        self.span_id = 0
-        self.activated_at = 0.0
         self.reset()
 
     def reset(self) -> None:
@@ -241,9 +238,6 @@ class DagExecution(Execution):
         #: Optional external agent consulted at each stage decision; ``None``
         #: keeps the built-in scheduler path untouched (one check per pick).
         self._decision_hook = decision_hook
-        #: (span id, start) of the open setup span when tracing; stage spans
-        #: attach to the attempt span, task spans to their stage span.
-        self._setup_span: Optional[tuple] = None
         self.scheduler = make_stage_scheduler(scheduler)
         #: Whether the frontier is kept in the scheduler's pick order, so a
         #: free slot takes the first stage that can serve it.  Otherwise it
@@ -338,46 +332,6 @@ class DagExecution(Execution):
         """
         return self._runs[index]
 
-    # -------------------------------------------------------------- tracing
-    def _close_spans(self, outcome: str) -> None:
-        for run in sorted(self._frontier, key=_position):
-            if run.span_id:
-                self._emit_stage_span(run, outcome=outcome)
-        if self._setup_span is not None:
-            self._emit_setup_span(outcome=outcome)
-
-    def _emit_setup_span(self, outcome: str = "completed") -> None:
-        span_id, started = self._setup_span  # type: ignore[misc]
-        self._setup_span = None
-        self.telemetry.span(
-            self.sim.now, self.telemetry_src, span_id, self.trace_parent,
-            "setup", "stage", started, self.job.job_id,
-            stage=-1,
-            parents="",
-            outcome=outcome,
-        )
-
-    def _emit_stage_span(self, run: StageRun, outcome: str = "completed") -> None:
-        self.telemetry.span(
-            self.sim.now, self.telemetry_src, run.span_id, self.trace_parent,
-            "stage", "stage", run.activated_at, self.job.job_id,
-            stage=run.index,
-            parents=",".join(str(p) for p in run.stage.parents),
-            pred=self.analysis.durations[run.index],
-            outcome=outcome,
-        )
-
-    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
-        run = active.stage_run
-        self.telemetry.span(
-            self.sim.now, self.telemetry_src, active.span_id,
-            run.span_id if run is not None else self.trace_parent,
-            "task", "task", active.started_at, self.job.job_id,
-            slot=active.slot,
-            stage=run.index if run is not None else -1,
-            outcome=outcome,
-        )
-
     # ------------------------------------------------------------- stages
     def _begin(self) -> None:
         if (
@@ -398,8 +352,7 @@ class DagExecution(Execution):
         if self._setup_time <= 0:
             self._activate_sources()
         else:
-            if self.telemetry.tracing:
-                self._setup_span = (self.telemetry.new_span_id(), self.sim.now)
+            self._open_span(_SETUP_SLOT, "setup", "stage", stage=-1, parents="")
             self._active[_SETUP_SLOT] = _ActiveTask(
                 _SETUP_SLOT,
                 self.sim.schedule(
@@ -413,8 +366,7 @@ class DagExecution(Execution):
         if not self.running:
             return
         self._active.pop(_SETUP_SLOT, None)
-        if self._setup_span is not None:
-            self._emit_setup_span()
+        self._close_span(_SETUP_SLOT)
         self._activate_sources()
 
     def _activate_sources(self) -> None:
@@ -434,8 +386,12 @@ class DagExecution(Execution):
             current.activate(self._ready_counter)
             self._ready_counter += 1
             if tracing:
-                current.span_id = self.telemetry.new_span_id()
-                current.activated_at = self.sim.now
+                self._open_span(
+                    current.position, "stage", "stage",
+                    stage=current.index,
+                    parents=",".join(str(p) for p in current.stage.parents),
+                    pred=self.analysis.durations[current.index],
+                )
             if self.telemetry.enabled:
                 self.telemetry.emit(
                     "stage_scheduled",
@@ -450,8 +406,7 @@ class DagExecution(Execution):
             else:
                 # Emptied by dropping: record a zero-length stage span so the
                 # observed DAG stays structurally complete.
-                if tracing:
-                    self._emit_stage_span(current)
+                self._close_span(current.position)
                 self._remaining_stages -= 1
                 for child in current.children:
                     child.unfinished_parents -= 1
@@ -502,8 +457,7 @@ class DagExecution(Execution):
         run = active.stage_run
         if run.task_finished():
             self._frontier.remove(run)
-            if run.span_id:
-                self._emit_stage_span(run)
+            self._close_span(run.position)
             self._remaining_stages -= 1
             for child in run.children:
                 child.unfinished_parents -= 1

@@ -20,7 +20,16 @@ plugged into that one path: the draws at dispatch, a straggler hook
 (``_on_straggler``, where :class:`JobExecution` schedules its speculation
 check), the failure branch of the task end, and the requeue of work lost to
 a worker crash.  Subclasses decide only which task a free slot runs next and
-how the attempt is traced.
+when a span group opens and closes.
+
+**One span table.**  While the hub traces, an attempt's open group spans
+live in one table keyed by group: ``0`` is a MapReduce wave, a DAG stage's
+``position`` is that stage, and ``-1`` is a DAG job's setup.  A group's span
+id is allocated when it opens and its span is emitted when it closes; a task
+span, emitted when the task ends or stops early, takes its parent id and its
+``stage`` field from its group, so it always closes before its group.  An
+eviction stops the in-flight tasks, then closes the open groups in key
+order.
 
 :class:`JobExecution` runs a MapReduce job as a sequence of *phases*: the
 setup (overhead) stage, then for each map/reduce stage pair the map tasks, the
@@ -147,10 +156,12 @@ class _ActiveTask:
 
     ``started_at`` keeps the task's original dispatch time across DVFS
     reschedules for span tracing, ``span_id`` is the task's pre-allocated
-    trace span (0 when tracing is off), ``stage_run`` is the DAG stage the
-    task serves (``None`` for a MapReduce task and for a DAG job's setup),
-    and ``base`` is the task's nominal duration (before straggler slowdown,
-    the amount re-queued if the hosting worker crashes).
+    trace span (0 when tracing is off, and always for a DAG job's setup),
+    ``stage_run`` is the DAG stage the task serves (``None`` for a MapReduce
+    task and for a DAG job's setup), and ``base`` is the task's nominal
+    duration (before straggler slowdown, the amount re-queued if the hosting
+    worker crashes).  A task's span group is its stage's ``position``, or
+    the wave (key 0) when it has no stage.
 
     The remaining fields only carry information under fault injection:
     ``attempt`` counts executions of this task on this slot, ``will_fail``
@@ -181,15 +192,16 @@ class Execution:
     :meth:`_start_task` is the one task dispatch and the per-slot callback of
     :meth:`_make_task_callback` the one task end; a fault injector changes
     what they draw and where a failed task goes, not which code runs.  A
-    subclass says which task a free slot runs next and how it traces, by
-    defining :meth:`_begin` (enter the first phase or stage), :meth:`_refill`
-    (fill the free slots), :meth:`_release_slot` (a slot is done with its
-    task), :meth:`_on_task_succeeded` (the end of a task that did not fail,
-    under the base callback; :class:`JobExecution` replaces the callback
-    instead), :meth:`_requeue` (a lost task goes back to its queue),
-    :meth:`_close_spans` (on eviction), :meth:`_emit_task_span` and
+    subclass says which task a free slot runs next, by defining
+    :meth:`_begin` (enter the first phase or stage), :meth:`_refill` (fill
+    the free slots), :meth:`_release_slot` (a slot is done with its task),
+    :meth:`_on_task_succeeded` (the end of a task that did not fail, under
+    the base callback; :class:`JobExecution` replaces the callback instead),
+    :meth:`_requeue` (a lost task goes back to its queue) and
     :meth:`_materialise`; :meth:`_on_straggler` may add to what a straggling
-    draw does.
+    draw does.  It traces by opening and closing its span groups through
+    :meth:`_open_span` and :meth:`_close_span`; the base emits every task
+    span and closes what is open at eviction.
     """
 
     def __init__(
@@ -227,6 +239,9 @@ class Execution:
         #: task and cleared at finish and evict, which breaks the
         #: execution -> callback -> execution cycle.
         self._task_callbacks: Dict[int, Callable[[Simulator], None]] = {}
+        #: group key -> (span id, start, name, cat, fields) of each open group
+        #: span while tracing (see the module docstring).
+        self._spans: Dict[int, tuple] = {}
 
         self.started = False
         self.completed = False
@@ -315,16 +330,10 @@ class Execution:
             self._end_event = None
         now = self.sim.now
         self._accumulate_sprint(now)
-        if self.telemetry.tracing:
-            for active in self._active.values():
-                if active.span_id:
-                    self._emit_task_span(active, outcome="evicted")
-            self._close_spans("evicted")
         for active in self._active.values():
-            active.event.cancel()
-            if active.spec_event is not None:
-                active.spec_event.cancel()
+            self._cancel_task(active, "evicted")
         self._active.clear()
+        self._close_spans("evicted")
         for event, _base, _attempt, _run in self._retries.values():
             event.cancel()
         self._retries.clear()
@@ -341,16 +350,12 @@ class Execution:
         """
         if not self.running:
             return
-        self._emit_fault_span("crash", slot=-1)
+        self.mark_fault("crash")
         dead = self.cluster.worker_slots(worker)
         for slot in dead:
             active = self._active.pop(slot, None)
             if active is not None:
-                active.event.cancel()
-                if active.spec_event is not None:
-                    active.spec_event.cancel()
-                if active.span_id:
-                    self._emit_task_span(active, outcome="crashed")
+                self._cancel_task(active, "crashed")
                 self._requeue_lost(active)
             entry = self._retries.pop(slot, None)
             if entry is not None:
@@ -397,13 +402,6 @@ class Execution:
     def _requeue_lost(self, active: _ActiveTask) -> None:
         """The in-flight task ``active`` was lost to a worker crash."""
         self._requeue(active.base, active.stage_run)
-
-    def _close_spans(self, outcome: str) -> None:
-        """Emit the open phase or stage spans of an evicted attempt."""
-        raise NotImplementedError
-
-    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
-        raise NotImplementedError
 
     def _retry_attempt_field(self, attempt: int) -> int:
         """The ``attempt`` field of the ``fault.retry`` event after ``attempt``
@@ -467,7 +465,8 @@ class Execution:
             self.sprinted_time += now - self._speed_since
         self._speed_since = now
 
-    def _emit_fault_span(self, name: str, slot: int) -> None:
+    # ------------------------------------------------------------------ spans
+    def mark_fault(self, name: str, slot: int = -1) -> None:
         """Instant fault annotation attached to the current attempt span."""
         if not self.telemetry.tracing:
             return
@@ -476,6 +475,47 @@ class Execution:
             now, self.telemetry_src, self.telemetry.new_span_id(), self.trace_parent,
             name, "fault", now, self.job.job_id, slot=slot,
         )
+
+    def _open_span(self, key: int, name: str, cat: str, **fields: Any) -> None:
+        """Open the span of group ``key`` now; a no-op unless tracing."""
+        telemetry = self.telemetry
+        if telemetry.tracing:
+            self._spans[key] = (telemetry.new_span_id(), self.sim.now, name, cat, fields)
+
+    def _close_span(self, key: int, outcome: str = "completed") -> None:
+        """Emit the span of group ``key``, if it is open, under the attempt."""
+        span = self._spans.pop(key, None)
+        if span is not None:
+            span_id, start, name, cat, fields = span
+            self.telemetry.span(
+                self.sim.now, self.telemetry_src, span_id, self.trace_parent,
+                name, cat, start, self.job.job_id, **fields, outcome=outcome,
+            )
+
+    def _close_spans(self, outcome: str) -> None:
+        """Close every open group span, in key order (an evicted attempt)."""
+        for key in sorted(self._spans):
+            self._close_span(key, outcome)
+
+    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
+        """Emit the span of task ``active``; its group is still open."""
+        run = active.stage_run
+        group_id, _start, _name, _cat, fields = self._spans[
+            0 if run is None else run.position
+        ]
+        self.telemetry.span(
+            self.sim.now, self.telemetry_src, active.span_id, group_id,
+            "task", "task", active.started_at, self.job.job_id,
+            slot=active.slot, stage=fields["stage"], outcome=outcome,
+        )
+
+    def _cancel_task(self, active: _ActiveTask, outcome: str) -> None:
+        """Stop the in-flight task ``active`` early; its span reads ``outcome``."""
+        active.event.cancel()
+        if active.spec_event is not None:
+            active.spec_event.cancel()
+        if active.span_id:
+            self._emit_task_span(active, outcome)
 
     def _task_callback(self, slot: int) -> Callable[[Simulator], None]:
         """The completion callback of ``slot``, built on first use."""
@@ -584,7 +624,7 @@ class Execution:
                     attempt=self._retry_attempt_field(active.attempt),
                     delay=delay,
                 )
-            self._emit_fault_span("retry", slot)
+            self.mark_fault("retry", slot)
             # The slot sits out the backoff: neither free nor active, and a
             # DAG stage's in-flight count stays up so it cannot advance phase.
             event = self.sim.schedule(
@@ -646,9 +686,6 @@ class JobExecution(Execution):
             faults, on_give_up,
         )
         self.phases = list(phases)
-        #: (span id, start) of the open wave span when tracing; wave spans
-        #: attach to the attempt span, task spans to their wave span.
-        self._phase_span: Optional[tuple] = None
         self._phase_index = -1
         #: The current phase's pending task durations, last-first: the next
         #: task to dispatch is ``pop()``, and a re-queued task goes to index 0.
@@ -665,34 +702,6 @@ class JobExecution(Execution):
         if 0 <= self._phase_index < len(self.phases):
             return self.phases[self._phase_index]
         return None
-
-    # -------------------------------------------------------------- tracing
-    def _close_spans(self, outcome: str) -> None:
-        if self._phase_span is not None:
-            self._close_phase_span(outcome)
-
-    def _close_phase_span(self, outcome: str = "completed") -> None:
-        span_id, started = self._phase_span  # type: ignore[misc]
-        self._phase_span = None
-        phase = self.phases[self._phase_index]
-        self.telemetry.span(
-            self.sim.now, self.telemetry_src, span_id, self.trace_parent,
-            phase.name, "wave", started, self.job.job_id,
-            stage=phase.stage_index,
-            tasks=len(phase.durations),
-            outcome=outcome,
-        )
-
-    def _emit_task_span(self, active: _ActiveTask, outcome: str = "completed") -> None:
-        phase = self.current_phase
-        self.telemetry.span(
-            self.sim.now, self.telemetry_src, active.span_id,
-            self._phase_span[0] if self._phase_span else self.trace_parent,
-            "task", "task", active.started_at, self.job.job_id,
-            slot=active.slot,
-            stage=phase.stage_index if phase is not None else -1,
-            outcome=outcome,
-        )
 
     # ------------------------------------------------------------- phases
     def _begin(self) -> None:
@@ -777,8 +786,8 @@ class JobExecution(Execution):
         raise RuntimeError("a privately run attempt outlived its end event")
 
     def _advance_phase(self) -> None:
-        if self._phase_span is not None:
-            self._close_phase_span()
+        # A phase's wave is span group 0.
+        self._close_span(0)
         self._phase_index += 1
         if self._phase_index >= len(self.phases):
             self._finish()
@@ -787,8 +796,9 @@ class JobExecution(Execution):
         if not phase.durations:
             self._advance_phase()
             return
-        if self.telemetry.tracing:
-            self._phase_span = (self.telemetry.new_span_id(), self.sim.now)
+        self._open_span(
+            0, phase.name, "wave", stage=phase.stage_index, tasks=len(phase.durations)
+        )
         pending = self._pending = phase.durations[::-1]
         self._parallel = phase.parallel
         free = self._free_slots = self.cluster.free_slot_ids()
@@ -912,7 +922,7 @@ class JobExecution(Execution):
                 slot=slot,
                 copy_slot=copy_slot,
             )
-        self._emit_fault_span("speculate", slot=slot)
+        self.mark_fault("speculate", slot)
 
     def _cancel_speculation_check(self, active: _ActiveTask) -> None:
         if active.spec_event is not None:
@@ -923,23 +933,14 @@ class JobExecution(Execution):
         """``active`` succeeded: drop its pending check and any losing twin."""
         self._cancel_speculation_check(active)
         # First finisher of a primary/copy pair wins; the loser is cancelled
-        # through the kernel's existing cancellation path.
-        if active.copy_of >= 0:
-            primary = self._active.pop(active.copy_of, None)
-            if primary is not None:
-                primary.event.cancel()
-                if primary.spec_event is not None:
-                    primary.spec_event.cancel()
-                if primary.span_id:
-                    self._emit_task_span(primary, outcome="cancelled")
-                self._free_slots.append(primary.slot)
-        elif active.copy_slot >= 0:
-            copy = self._active.pop(active.copy_slot, None)
-            if copy is not None:
-                copy.event.cancel()
-                if copy.span_id:
-                    self._emit_task_span(copy, outcome="cancelled")
-                self._free_slots.append(copy.slot)
+        # through the kernel's existing cancellation path.  A task with no
+        # twin has both links at -1, a slot no MapReduce task runs on.
+        twin = self._active.pop(
+            active.copy_of if active.copy_of >= 0 else active.copy_slot, None
+        )
+        if twin is not None:
+            self._cancel_task(twin, "cancelled")
+            self._free_slots.append(twin.slot)
 
     def _on_task_failed(self, active: _ActiveTask) -> None:
         self._cancel_speculation_check(active)

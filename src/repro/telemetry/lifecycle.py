@@ -5,16 +5,19 @@ controller that subclasses it) and the fleet router decide; a
 :class:`LifecycleProbe` reports.  Each transition of the controller's state
 machine is one method here: :meth:`~LifecycleProbe.admitted`,
 :meth:`~LifecycleProbe.routed`, :meth:`~LifecycleProbe.dispatched`,
-:meth:`~LifecycleProbe.evicted`, :meth:`~LifecycleProbe.completed`,
-:meth:`~LifecycleProbe.restarting` and the three sprint transitions.  A call
-publishes the transition's typed event while the hub is enabled and its
-causal spans while the hub is tracing.
+:meth:`~LifecycleProbe.evicted`, :meth:`~LifecycleProbe.completed` and the
+three sprint transitions.  A call publishes the transition's typed event
+while the hub is enabled and its causal spans while the hub is tracing.
 
 The probe owns the job-level span state: the ids and start times of each
 in-flight job's root, queue-wait, attempt and sprint spans, which open at
-one transition and close at a later one.  The executions publish their own
-wave, stage, task and fault spans, parented to the attempt span id that
-:meth:`~LifecycleProbe.dispatched` returns.
+one transition and close at a later one.  The executions publish the spans
+below the attempt, parented to the attempt span id that
+:meth:`~LifecycleProbe.dispatched` returns: their wave, stage and setup
+spans through one table of open spans, the task spans under them, and
+every ``fault`` instant through
+:meth:`~repro.engine.execution.Execution.mark_fault` (the controller marks
+a fault restart there too, before it evicts the attempt).
 
 Every method reads ``hub.enabled`` and ``hub.tracing`` when it is called, so
 a sink attached after the controller was built still sees every transition.
@@ -189,16 +192,6 @@ class LifecycleProbe:
                 salvaged=dropped_seconds / self.cluster.slots,
             )
         return attempt_id
-
-    def restarting(self, execution: Any, reason: str) -> None:
-        """A fault aborts the running attempt: say why, before it closes."""
-        hub = self.hub
-        if hub.tracing:
-            now = self.sim.now
-            hub.span(
-                now, self.src, hub.new_span_id(), execution.trace_parent,
-                reason, "fault", now, execution.job.job_id, slot=-1,
-            )
 
     def evicted(
         self, execution: Any, wasted: float, restart: Optional[str] = None

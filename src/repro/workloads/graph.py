@@ -5,13 +5,14 @@ Triangle-count accuracy under partition dropping depends on the graph's skew
 and clustering, so the synthetic substitute is a power-law graph with tunable
 clustering (Holme–Kim preferential attachment), scaled down so the real
 multi-stage MapReduce triangle count runs quickly in tests and benchmarks.
+networkx is imported only by the functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 Edge = Tuple[int, int]
@@ -33,6 +34,8 @@ def synthetic_web_graph(
         raise ValueError("num_nodes must exceed edges_per_node")
     if not 0.0 <= triangle_probability <= 1.0:
         raise ValueError("triangle_probability must be in [0, 1]")
+    import networkx as nx
+
     graph = nx.powerlaw_cluster_graph(
         n=num_nodes, m=edges_per_node, p=triangle_probability, seed=seed
     )
@@ -41,6 +44,8 @@ def synthetic_web_graph(
 
 def graph_statistics(edges: List[Edge]) -> dict:
     """Basic statistics of an edge list (nodes, edges, triangles, max degree)."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_edges_from(edges)
     triangle_total = sum(nx.triangles(graph).values()) // 3

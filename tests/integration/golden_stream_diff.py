@@ -55,9 +55,19 @@ def _record(name: str, workdir: str) -> None:
     telemetry = os.path.join(workdir, "telemetry.jsonl")
     trace = os.path.join(workdir, "trace.json")
     if name in golden.CLI_RUNS:
-        argv = [a.format(telemetry=telemetry, trace=trace) for a in golden.CLI_RUNS[name]]
+        paths = dict(
+            telemetry=telemetry, trace=trace,
+            replay=os.path.join(workdir, "input.jsonl"),
+        )
+        argv = [a.format(**paths) for a in golden.CLI_RUNS[name]]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
+            if name in golden.CLI_INPUTS:
+                inputs = [a.format(**paths) for a in golden.CLI_INPUTS[name]]
+                if main(inputs) != 0:
+                    raise SystemExit(f"{name}: writing its input failed")
+                out.truncate(0)
+                out.seek(0)
             code = main(argv)
         if code != 0:
             raise SystemExit(f"{name}: exit status {code}")

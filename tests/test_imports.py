@@ -1,4 +1,4 @@
-"""Importing the package stays cheap: scipy loads only where it is used."""
+"""Importing the package stays cheap: scipy and networkx load only where used."""
 
 from __future__ import annotations
 
@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 
-def test_importing_repro_and_its_cli_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "networkx"])
+def test_importing_repro_and_its_cli_loads_no(package):
     source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -17,7 +20,7 @@ def test_importing_repro_and_its_cli_loads_no_scipy():
     )
     probe = (
         "import sys, repro, repro.cli; "
-        "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
