@@ -40,8 +40,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.policies import SchedulingPolicy
 from repro.dag.schedulers import STAGE_SCHEDULERS
@@ -81,7 +82,7 @@ from repro.simulation.replication import ReplicationRunner
 from repro.fleet.budget import BUDGET_MODES
 from repro.fleet.dispatcher import ROUTERS
 from repro.fleet.simulation import FleetSimulation
-from repro.telemetry import JsonLinesSink, NULL_HUB, TelemetryHub
+from repro.telemetry import JsonLinesSink, NULL_HUB, TelemetryHub, Tracer
 from repro.traces import (
     CLUSTER_JSONL,
     DAG_JSONL,
@@ -297,41 +298,39 @@ def _check_trace_flag(args: argparse.Namespace) -> Optional[str]:
 
 
 def _single_run_hub(args: argparse.Namespace):
-    """Hub for a single in-process run, plus the span-export bookkeeping.
+    """Hub for a single in-process run, plus where its spans are read from.
 
-    Returns ``(hub, events_path, events_are_temporary)``: the hub streams
-    events to ``events_path`` (the ``--telemetry`` file, or a scratch file
-    next to the ``--trace`` output when only tracing was requested — removed
-    again after the Chrome-trace export).  With neither flag the disabled
-    null hub is returned.
+    Returns ``(hub, spans_from)``.  With ``--telemetry`` the hub streams
+    events to that file and ``spans_from`` is its path, read back by the
+    Chrome-trace export; with only ``--trace`` a :class:`Tracer` collects
+    the spans in memory and is ``spans_from``.  With neither flag the
+    disabled null hub and ``None`` are returned.
     """
     path = _check_telemetry_path(args.telemetry)
     trace = _check_trace_flag(args)
     if path is None and trace is None:
-        return NULL_HUB, None, False
-    events_path = path if path is not None else trace + ".events.jsonl"
+        return NULL_HUB, None
     # Periodic sampling stays opt-in via --telemetry; a pure --trace run
     # records spans (and the other probe events) but no samples.
     interval = args.telemetry_interval if path is not None else None
     hub = TelemetryHub(sample_interval=interval, tracing=trace is not None)
-    hub.add_sink(JsonLinesSink(events_path))
-    return hub, events_path, path is None
+    if path is None:
+        return hub, hub.add_sink(Tracer())
+    hub.add_sink(JsonLinesSink(path))
+    return hub, path
 
 
-def _export_trace(args: argparse.Namespace, events_path: Optional[str],
-                  events_are_temporary: bool) -> Optional[str]:
+def _export_trace(
+    args: argparse.Namespace, spans_from: Union[str, Tracer, None]
+) -> Optional[str]:
     """Export the recorded spans to ``--trace`` as Chrome-trace JSON."""
-    import os
-
     from repro.telemetry.tracing import read_spans, write_chrome_trace
 
     trace = getattr(args, "trace", None)
-    if trace is None or events_path is None:
+    if trace is None or spans_from is None:
         return None
-    spans = read_spans(events_path)
+    spans = read_spans(spans_from) if isinstance(spans_from, str) else spans_from.spans
     count = write_chrome_trace(trace, spans)
-    if events_are_temporary:
-        os.remove(events_path)
     return (
         f"Trace: {count} spans -> {trace} "
         "(render: repro trace; load: ui.perfetto.dev or chrome://tracing)"
@@ -915,7 +914,7 @@ def _run_fleet_replay(args: argparse.Namespace) -> str:
     )
     shares = source.class_shares()
     policy = args.policy if args.policy is not None else _replay_policy(shares)
-    hub, events_path, events_are_temporary = _single_run_hub(args)
+    hub, spans_from = _single_run_hub(args)
     simulation = FleetSimulation(
         policy=policy,
         jobs=(),
@@ -932,7 +931,7 @@ def _run_fleet_replay(args: argparse.Namespace) -> str:
     )
     result = simulation.run(until=args.until)
     hub.close()
-    trace_note = _export_trace(args, events_path, events_are_temporary)
+    trace_note = _export_trace(args, spans_from)
     title = (
         f"Fleet replay: {args.replay} ({source.meta.format}, "
         f"{source.jobs_ingested} jobs)  router={result.dispatcher_name}  "
@@ -997,7 +996,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
              format_rows(interval_rows(metrics))]
         )
     trace = scenario.generate_trace(seed=args.seed)
-    hub, events_path, events_are_temporary = _single_run_hub(args)
+    hub, spans_from = _single_run_hub(args)
     simulation = FleetSimulation(
         policy=policy,
         jobs=trace,
@@ -1028,7 +1027,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
         }
     result = simulation.run(until=args.until)
     hub.close()
-    trace_note = _export_trace(args, events_path, events_are_temporary)
+    trace_note = _export_trace(args, spans_from)
     title = (
         f"Fleet: {scenario.name}  router={result.dispatcher_name}  "
         f"policy={policy.name}  budget={args.budget}"
@@ -1045,7 +1044,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
     spec = parse_fault_spec(args.faults)
     scenario = _fleet_scenario(args)
     policy = args.policy if args.policy is not None else _default_fleet_policy(scenario)
-    hub, events_path, events_are_temporary = _single_run_hub(args)
+    hub, spans_from = _single_run_hub(args)
     rows = run_chaos(
         scenario,
         policy,
@@ -1059,7 +1058,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
         telemetry_level=max(args.levels) if hub is not NULL_HUB else None,
     )
     hub.close()
-    trace_note = _export_trace(args, events_path, events_are_temporary)
+    trace_note = _export_trace(args, spans_from)
     title = (
         f"Chaos: {scenario.name}  router={args.router}  policy={policy.name}  "
         f"faults='{args.faults}'"
@@ -1142,7 +1141,7 @@ def _run_dag_replay(args: argparse.Namespace) -> str:
         if args.policy is not None
         else _replay_policy(source.class_shares())
     )
-    hub, events_path, events_are_temporary = _single_run_hub(args)
+    hub, spans_from = _single_run_hub(args)
     simulation = DagSimulation(
         policy=policy,
         scheduler=args.scheduler,
@@ -1155,7 +1154,7 @@ def _run_dag_replay(args: argparse.Namespace) -> str:
     )
     result = simulation.run()
     hub.close()
-    trace_note = _export_trace(args, events_path, events_are_temporary)
+    trace_note = _export_trace(args, spans_from)
     title = (
         f"DAG replay: {args.replay} ({source.meta.format}, "
         f"{source.jobs_ingested} jobs)  scheduler={result.scheduler_name}  "
@@ -1204,7 +1203,7 @@ def _run_dag(args: argparse.Namespace) -> str:
              format_rows(interval_rows(metrics))]
         )
     trace = scenario.generate_trace(seed=args.seed)
-    hub, events_path, events_are_temporary = _single_run_hub(args)
+    hub, spans_from = _single_run_hub(args)
     simulation = DagSimulation(
         policy=policy,
         jobs=trace,
@@ -1217,7 +1216,7 @@ def _run_dag(args: argparse.Namespace) -> str:
     )
     result = simulation.run()
     hub.close()
-    trace_note = _export_trace(args, events_path, events_are_temporary)
+    trace_note = _export_trace(args, spans_from)
     title = (
         f"DAG: {scenario.name}  scheduler={result.scheduler_name}  "
         f"policy={policy.name}  slack_biased={args.slack_biased}"
@@ -1536,7 +1535,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if args.quantiles is not None:
                     output += "\n\nStreaming response-time quantiles (P² estimates)\n"
                     output += format_rows(_quantile_rows(comparison, args.quantiles))
-                trace_note = _export_trace(args, events_path, events_are_temporary)
+                trace_note = _export_trace(args, events_path)
+                if events_are_temporary:
+                    os.remove(events_path)
                 if trace_note is not None:
                     output += "\n\n" + trace_note
         elif args.command == "sweep":

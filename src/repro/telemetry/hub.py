@@ -23,6 +23,15 @@ for plain ``--telemetry`` runs), publish them through :meth:`span`, and take
 deterministic span ids from :meth:`new_span_id`.  Because ids come from a per-hub counter and events
 carry only simulated time, a span stream is as reproducible as any other
 telemetry stream.
+
+A sink may also expose the optional span method
+``write_span(t, src, span_id, parent_id, name, cat, start, job_id, extras)``.
+:meth:`TelemetryHub.span` hands such a sink the span's fields directly
+instead of an event dict — the in-memory
+:class:`~repro.telemetry.tracing.Tracer` builds its record from them — and
+builds the ``span`` event dict only when a sink without ``write_span`` (a
+JSON-lines file, a ring buffer, a callback) is attached.  Every other event
+still reaches every sink through ``write``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ class TelemetryHub:
         "events_emitted",
         "_sinks",
         "_writes",
+        "_span_event_writes",
+        "_span_writes",
         "_span_seq",
     )
 
@@ -72,6 +83,10 @@ class TelemetryHub:
         # Pre-bound ``sink.write`` methods: the emit loop touches one list
         # instead of re-resolving the attribute per sink per event.
         self._writes: List[Callable[[Dict[str, Any]], None]] = []
+        # The span fan-out, split by sink kind: ``write`` of the sinks that
+        # take span events as dicts, ``write_span`` of those that take fields.
+        self._span_event_writes: List[Callable[[Dict[str, Any]], None]] = []
+        self._span_writes: List[Callable[..., None]] = []
         self._span_seq = 0
 
     # ------------------------------------------------------------------ sinks
@@ -80,20 +95,21 @@ class TelemetryHub:
         return list(self._sinks)
 
     def add_sink(self, sink: Any) -> Any:
-        """Attach ``sink`` (anything with ``write(event)``); returns it."""
+        """Attach ``sink`` (anything with ``write(event)``); returns it.
+
+        A sink that also exposes ``write_span`` receives spans through it
+        (see :meth:`span`) and every other event through ``write``.
+        """
         if not callable(getattr(sink, "write", None)):
             raise TypeError(f"telemetry sinks must expose write(event); got {sink!r}")
         self._sinks.append(sink)
-        self._writes.append(sink.write)
-        self.enabled = True
+        self._bind()
         return sink
 
     def remove_sink(self, sink: Any) -> None:
         """Detach ``sink``; the hub disables itself when no sinks remain."""
-        index = self._sinks.index(sink)
-        del self._sinks[index]
-        del self._writes[index]
-        self.enabled = bool(self._sinks)
+        self._sinks.remove(sink)
+        self._bind()
 
     def close(self) -> None:
         """Close every sink that supports it and disable the hub."""
@@ -102,8 +118,20 @@ class TelemetryHub:
             if callable(close):
                 close()
         self._sinks = []
-        self._writes = []
-        self.enabled = False
+        self._bind()
+
+    def _bind(self) -> None:
+        """Rebuild the pre-bound write lists from ``_sinks``."""
+        self._writes = [sink.write for sink in self._sinks]
+        self._span_event_writes = []
+        self._span_writes = []
+        for sink in self._sinks:
+            write_span = getattr(sink, "write_span", None)
+            if callable(write_span):
+                self._span_writes.append(write_span)
+            else:
+                self._span_event_writes.append(sink.write)
+        self.enabled = bool(self._sinks)
 
     # ------------------------------------------------------------------ spans
     def new_span_id(self) -> int:
@@ -151,19 +179,37 @@ class TelemetryHub:
         ``parent_id`` 0 marks a root, and ``extra`` carries per-kind
         attribution (outcome, sprinted seconds, stage index, ...).  Ids come
         from :meth:`new_span_id`, allocated when the span opens.
+
+        Sinks with a ``write_span`` method get the fields as arguments, with
+        ``extra`` as their read-only ``extras`` dict; the event dict (the
+        extras plus the base fields ``t``, ``kind``, ``src``, ``span_id``,
+        ...) is built only for the other sinks, and then as a copy when both
+        kinds are attached, so no record's extras ever holds a base field.
+        Either way each sink sees the span once and ``events_emitted`` counts
+        it once.
         """
         if not self.enabled:
             return
-        extra["t"] = time if time.__class__ is float else float(time)
-        extra["kind"] = "span"
-        extra["src"] = src
-        extra["span_id"] = span_id
-        extra["parent_id"] = parent_id
-        extra["name"] = name
-        extra["cat"] = cat
-        extra["start"] = start
-        extra["job_id"] = job_id
-        self.emit_event(extra)
+        if time.__class__ is not float:
+            time = float(time)
+        self.events_emitted += 1
+        span_writes = self._span_writes
+        event_writes = self._span_event_writes
+        if event_writes:
+            event = dict(extra) if span_writes else extra
+            event["t"] = time
+            event["kind"] = "span"
+            event["src"] = src
+            event["span_id"] = span_id
+            event["parent_id"] = parent_id
+            event["name"] = name
+            event["cat"] = cat
+            event["start"] = start
+            event["job_id"] = job_id
+            for write in event_writes:
+                write(event)
+        for write_span in span_writes:
+            write_span(time, src, span_id, parent_id, name, cat, start, job_id, extra)
 
     def emit_event(self, event: Dict[str, Any]) -> None:
         """Publish a pre-built event dict (``t``/``kind``/``src`` included).

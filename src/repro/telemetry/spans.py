@@ -54,7 +54,12 @@ EPSILON = 1e-9
 
 
 class SpanRecord:
-    """One closed span, decoded from a ``span`` event."""
+    """One closed span.
+
+    The :class:`~repro.telemetry.tracing.Tracer` builds it from the fields
+    the hub hands it; :func:`span_from_event` decodes it from a recorded
+    ``span`` event.
+    """
 
     __slots__ = (
         "span_id",

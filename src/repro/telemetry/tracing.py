@@ -4,8 +4,10 @@ Three consumers of the ``span`` events defined in
 :mod:`repro.telemetry.spans`:
 
 * :class:`Tracer` — a hub sink that materialises span records (and run
-  segmentation) in memory while a traced run executes; zero-cost when
-  tracing is off because producers never build span events then.
+  segmentation) in memory while a traced run executes.  It takes spans
+  through the hub's ``write_span`` sink method, as fields rather than event
+  dicts, and costs nothing when tracing is off because producers never
+  publish spans then.
 * Chrome trace-event export — :func:`chrome_trace_document` /
   :func:`write_chrome_trace` produce JSON loadable by ``chrome://tracing``
   and ui.perfetto.dev (``ph: "X"`` complete events on per-job / per-stage /
@@ -37,7 +39,6 @@ from repro.telemetry.spans import (
     decompose,
     observed_stage_path,
     predicted_stage_path,
-    span_from_event,
     spans_from_events,
     stage_observations,
 )
@@ -53,8 +54,10 @@ class Tracer:
     """Probe-bus sink that materialises the causal span tree of a run.
 
     Attach to a :class:`~repro.telemetry.hub.TelemetryHub` built with
-    ``tracing=True``; span events are decoded as they are published and
-    multi-run streams are segmented on ``run_start`` exactly like
+    ``tracing=True``.  The hub hands spans to :meth:`write_span`, which
+    appends one :class:`SpanRecord` per span straight from its fields — no
+    event dict is built or decoded for the tracer.  Multi-run streams are
+    segmented on ``run_start`` (through :meth:`write`) exactly like
     :func:`~repro.telemetry.spans.spans_from_events` does for files.
     """
 
@@ -65,11 +68,25 @@ class Tracer:
 
     def write(self, event: Mapping[str, Any]) -> None:
         self.events_seen += 1
-        kind = event.get("kind")
-        if kind == "run_start":
+        if event.get("kind") == "run_start":
             self._run += 1
-        elif kind == "span":
-            self._spans.append(span_from_event(event, self._run))
+
+    def write_span(
+        self,
+        t: float,
+        src: str,
+        span_id: int,
+        parent_id: int,
+        name: str,
+        cat: str,
+        start: float,
+        job_id: int,
+        extras: Dict[str, Any],
+    ) -> None:
+        self.events_seen += 1
+        self._spans.append(
+            SpanRecord(span_id, parent_id, name, cat, src, start, t, job_id, self._run, extras)
+        )
 
     @property
     def spans(self) -> List[SpanRecord]:

@@ -12,6 +12,7 @@ from repro.telemetry import (
     JsonLinesSink,
     RingBufferSink,
     TelemetryHub,
+    Tracer,
     merge_parts,
     part_path,
     seed_part_path,
@@ -95,3 +96,67 @@ def test_merge_parts_preserves_order_and_cleans_up(tmp_path):
 
 def test_seed_part_path_unique_per_seed():
     assert seed_part_path("x.jsonl", 0) != seed_part_path("x.jsonl", 1000)
+
+
+def _publish_span(hub, span_id, **extra):
+    hub.span(float(span_id), "dias", span_id, 0, "job", "job", 0.5, span_id, **extra)
+
+
+def test_tracer_and_dict_sinks_each_get_every_span_once():
+    hub = TelemetryHub(tracing=True)
+    ring = hub.add_sink(RingBufferSink())
+    tracer = hub.add_sink(Tracer())
+    seen = []
+    hub.add_sink(CallbackSink(seen.append))
+    hub.emit("run_start", 0.0, src="dias", run="x", policy="P")
+    _publish_span(hub, 1, priority=0)
+    assert hub.events_emitted == tracer.events_seen == len(ring) == len(seen) == 2
+    assert seen == ring.events
+    assert seen[1] == {"priority": 0, "t": 1.0, "kind": "span", "src": "dias",
+                       "span_id": 1, "parent_id": 0, "name": "job", "cat": "job",
+                       "start": 0.5, "job_id": 1}
+    [record] = tracer.spans
+    assert (record.run, record.span_id, record.end, record.extras) == (1, 1, 1.0, {"priority": 0})
+    # The event dict is a copy: the record's extras hold no base field.
+    assert seen[1] is not record.extras
+
+
+def test_removed_tracer_stops_getting_spans_and_dict_sinks_stay_complete():
+    hub = TelemetryHub(tracing=True)
+    tracer = hub.add_sink(Tracer())
+    ring = hub.add_sink(RingBufferSink())
+    _publish_span(hub, 1)
+    hub.remove_sink(tracer)
+    assert hub.enabled
+    _publish_span(hub, 2, outcome="completed")
+    assert [record.span_id for record in tracer.spans] == [1]
+    assert tracer.events_seen == 1
+    assert [event["span_id"] for event in ring.events] == [1, 2]
+    assert ring.events[1] == {"outcome": "completed", "t": 2.0, "kind": "span",
+                              "src": "dias", "span_id": 2, "parent_id": 0,
+                              "name": "job", "cat": "job", "start": 0.5, "job_id": 2}
+    hub.remove_sink(ring)
+    assert not hub.enabled
+
+
+def test_close_empties_every_sink_list():
+    hub = TelemetryHub(tracing=True)
+    hub.add_sink(Tracer())
+    hub.add_sink(RingBufferSink())
+    hub.close()
+    assert not hub.enabled
+    assert hub.sinks == []
+    assert hub._writes == hub._span_writes == hub._span_event_writes == []
+    _publish_span(hub, 1)
+    assert hub.events_emitted == 0
+
+
+def test_tracer_only_hub_still_gets_non_span_events():
+    hub = TelemetryHub(tracing=True)
+    tracer = hub.add_sink(Tracer())
+    hub.emit("run_start", 0.0, src="dias", run="a", policy="P")
+    _publish_span(hub, 1)
+    hub.emit("run_start", 5.0, src="dias", run="b", policy="P")
+    _publish_span(hub, 2)
+    assert tracer.events_seen == hub.events_emitted == 4
+    assert [record.run for record in tracer.spans] == [1, 2]

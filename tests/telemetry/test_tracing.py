@@ -38,6 +38,29 @@ def test_compare_trace_serial_and_parallel_are_byte_identical(tmp_path, capsys):
     assert serial_bytes == parallel_bytes
 
 
+@pytest.mark.parametrize("command", [
+    ["fleet", "--clusters", "2", "--num-jobs", "40", "--seed", "1"],
+    ["dag", "--num-jobs", "20", "--seed", "2"],
+], ids=["fleet", "dag"])
+def test_pure_trace_exports_from_memory_what_telemetry_reads_back(
+    tmp_path, capsys, command
+):
+    """A pure ``--trace`` run exports the in-memory Tracer's spans; with
+    ``--telemetry`` the export reads the JSONL file back.  Same bytes, and
+    the pure run leaves no event file next to its trace."""
+    pure = tmp_path / "pure.json"
+    read_back = tmp_path / "read_back.json"
+    assert main([*command, "--trace", str(pure)]) == 0
+    assert main([*command, "--trace", str(read_back),
+                 "--telemetry", str(tmp_path / "events.jsonl")]) == 0
+    capsys.readouterr()
+    assert pure.read_bytes(), "the export must not be empty"
+    assert pure.read_bytes() == read_back.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "events.jsonl", "pure.json", "read_back.json"
+    ]
+
+
 def test_chrome_export_round_trips_spans(tmp_path, capsys):
     trace_path = str(tmp_path / "trace.json")
     events_path = str(tmp_path / "events.jsonl")
