@@ -119,7 +119,13 @@ def graph_profile(
 
 @dataclass
 class Scenario:
-    """A complete experimental configuration."""
+    """A complete experimental configuration.
+
+    ``arrival_rates`` is derived, not passed: ``__post_init__`` calibrates it
+    from the profiles, class ratio, cluster and target load, so a copy made
+    with :func:`dataclasses.replace` (say, at another ``target_utilisation``)
+    carries rates for its own load.
+    """
 
     name: str
     description: str
@@ -128,16 +134,15 @@ class Scenario:
     target_utilisation: float
     num_jobs: int = 400
     cluster: Cluster = field(default_factory=default_cluster)
-    arrival_rates: Dict[int, float] = field(default_factory=dict)
+    arrival_rates: Dict[int, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.arrival_rates:
-            self.arrival_rates = calibrate_arrival_rates(
-                self.profiles,
-                self.class_ratio,
-                slots=self.cluster.slots,
-                target_utilisation=self.target_utilisation,
-            )
+        self.arrival_rates = calibrate_arrival_rates(
+            self.profiles,
+            self.class_ratio,
+            slots=self.cluster.slots,
+            target_utilisation=self.target_utilisation,
+        )
 
     # --------------------------------------------------------------- helpers
     @property
@@ -166,14 +171,12 @@ class Scenario:
 
     def with_utilisation(self, target_utilisation: float, name: Optional[str] = None) -> "Scenario":
         """Copy of this scenario re-calibrated for a different load."""
-        return Scenario(
+        return replace(
+            self,
             name=name or f"{self.name}-util{target_utilisation:.0%}",
-            description=self.description,
             profiles=dict(self.profiles),
             class_ratio=dict(self.class_ratio),
             target_utilisation=target_utilisation,
-            num_jobs=self.num_jobs,
-            cluster=self.cluster,
         )
 
 
@@ -392,7 +395,9 @@ class DagScenario:
     :func:`~repro.workloads.arrivals.calibrate_arrival_rates` targets the
     right sequential load.  ``topologies`` maps each priority to a topology
     family of :mod:`repro.workloads.dag`, with optional per-class
-    ``topology_params``.
+    ``topology_params``.  As on :class:`Scenario`, ``arrival_rates`` is
+    derived in ``__post_init__``, so a :func:`dataclasses.replace` copy is
+    re-calibrated.
     """
 
     name: str
@@ -404,18 +409,17 @@ class DagScenario:
     topology_params: Dict[int, Dict] = field(default_factory=dict)
     num_jobs: int = 200
     cluster: Cluster = field(default_factory=default_cluster)
-    arrival_rates: Dict[int, float] = field(default_factory=dict)
+    arrival_rates: Dict[int, float] = field(init=False)
 
     def __post_init__(self) -> None:
         if set(self.topologies) != set(self.profiles):
             raise ValueError("topologies must cover exactly the profile priorities")
-        if not self.arrival_rates:
-            self.arrival_rates = calibrate_arrival_rates(
-                self.profiles,
-                self.class_ratio,
-                slots=self.cluster.slots,
-                target_utilisation=self.target_utilisation,
-            )
+        self.arrival_rates = calibrate_arrival_rates(
+            self.profiles,
+            self.class_ratio,
+            slots=self.cluster.slots,
+            target_utilisation=self.target_utilisation,
+        )
 
     # --------------------------------------------------------------- helpers
     @property

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.workloads.scenarios as scenarios
 from repro.workloads.arrivals import expected_utilisation
 from repro.workloads.scenarios import (
     HIGH,
     LOW,
     MEDIUM,
     FleetScenario,
+    Scenario,
     equal_job_sizes_scenario,
     fleet_three_priority_scenario,
     fleet_two_priority_scenario,
@@ -160,3 +164,56 @@ def test_fleet_scenario_naming_and_validation():
     assert "2 clusters" in fleet.description
     with pytest.raises(ValueError):
         FleetScenario(base=reference_two_priority_scenario(), num_clusters=0)
+
+
+# ------------------------------------------------- derived arrival rates
+#: ``repr`` of each factory's calibrated rates, recorded before the rates
+#: became a derived (``init=False``) field; deriving them must not move them.
+FACTORY_RATES = {
+    "reference_two_priority_scenario": {0: "0.012655201991085113", 2: "0.0014061335545650126"},
+    "equal_job_sizes_scenario": {0: "0.01998445653380704", 2: "0.0022204951704230045"},
+    "more_high_priority_scenario": {0: "0.002086245384182088", 2: "0.018776208457638794"},
+    "low_load_scenario": {0: "0.007909501244428196", 2: "0.0008788334716031328"},
+    "three_priority_scenario": {
+        0: "0.007643974255094709", 1: "0.006115179404075767", 2: "0.0015287948510189417",
+    },
+    "triangle_count_scenario": {0: "0.00380952380952381", 2: "0.0016326530612244899"},
+    "sprinting_scenario": {0: "0.00380952380952381", 2: "0.0016326530612244899"},
+    "validation_datasets_scenario": {0: "0.012655201991085113", 2: "0.0014061335545650126"},
+    "fleet_two_priority_scenario": {0: "0.05062080796434045", 2: "0.00562453421826005"},
+    "fleet_three_priority_scenario": {
+        0: "0.030575897020378835", 1: "0.024460717616303067", 2: "0.006115179404075767",
+    },
+    "dag_layered_scenario": {0: "0.00112970036042821", 2: "0.0001255222622698011"},
+    "dag_fork_join_scenario": {0: "0.0011836265000821963", 2: "0.00013151405556468846"},
+    "dag_triangle_count_scenario": {0: "0.00380952380952381", 2: "0.0016326530612244899"},
+}
+
+
+@pytest.mark.parametrize("factory", sorted(FACTORY_RATES))
+def test_factory_arrival_rates_are_unchanged(factory):
+    rates = getattr(scenarios, factory)().arrival_rates
+    assert {k: repr(v) for k, v in rates.items()} == FACTORY_RATES[factory]
+
+
+@pytest.mark.parametrize("factory", ["reference_two_priority_scenario", "dag_layered_scenario"])
+def test_replace_recalibrates_arrival_rates(factory):
+    scenario = getattr(scenarios, factory)()
+    lighter = dataclasses.replace(scenario, target_utilisation=0.5)
+    assert lighter.total_arrival_rate() == pytest.approx(
+        scenario.total_arrival_rate() * 0.5 / 0.8, rel=1e-9
+    )
+    if isinstance(scenario, Scenario):
+        assert lighter.arrival_rates == scenario.with_utilisation(0.5).arrival_rates
+    # The copy's rates are its own, not the original's dict.
+    assert lighter.arrival_rates is not scenario.arrival_rates
+
+
+def test_arrival_rates_cannot_be_passed():
+    scenario = reference_two_priority_scenario()
+    with pytest.raises(TypeError):
+        Scenario(
+            name="x", description="", profiles=scenario.profiles,
+            class_ratio=scenario.class_ratio, target_utilisation=0.8,
+            arrival_rates={HIGH: 1.0, LOW: 1.0},
+        )
