@@ -761,9 +761,9 @@ def _quantile_rows(comparison, quantiles: Sequence[float]) -> List[dict]:
     return rows
 
 
-def _default_fleet_policy(scenario: FleetScenario) -> SchedulingPolicy:
-    """DA with graduated dropping: 0% for the highest class up to 20% lowest."""
-    priorities = scenario.priorities  # highest first
+def _graduated_da(priorities: Sequence[int]) -> SchedulingPolicy:
+    """Graduated DA over ``priorities``, highest first: 0 % for the top class
+    up to 20 % for the bottom one."""
     if len(priorities) == 1:
         ratios = {priorities[0]: 0.0}
     else:
@@ -865,15 +865,9 @@ def _replay_policy(shares: Dict[int, float]) -> SchedulingPolicy:
     priority 0 (unknown priorities drop nothing — ``map_drop_ratio`` defaults
     absent classes to 0.0).
     """
-    priorities = sorted(shares, reverse=True)
-    if not priorities:
+    if not shares:
         return SchedulingPolicy.differential_approximation({0: 0.2})
-    if len(priorities) == 1:
-        ratios = {priorities[0]: 0.0}
-    else:
-        step = 0.2 / (len(priorities) - 1)
-        ratios = {p: round(i * step, 3) for i, p in enumerate(priorities)}
-    return SchedulingPolicy.differential_approximation(ratios)
+    return _graduated_da(sorted(shares, reverse=True))
 
 
 def _check_replay_conflicts(args: argparse.Namespace, flags: Sequence[tuple]) -> None:
@@ -963,7 +957,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
     if args.checkpoint is None and args.checkpoint_every is not None:
         raise ValueError("--checkpoint-every needs --checkpoint PATH")
     scenario = _fleet_scenario(args)
-    policy = args.policy if args.policy is not None else _default_fleet_policy(scenario)
+    policy = args.policy if args.policy is not None else _graduated_da(scenario.priorities)
     if args.replications > 1:
         if args.checkpoint is not None:
             raise ValueError(
@@ -1043,7 +1037,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
     _check_choice("router", args.router, list(ROUTERS))
     spec = parse_fault_spec(args.faults)
     scenario = _fleet_scenario(args)
-    policy = args.policy if args.policy is not None else _default_fleet_policy(scenario)
+    policy = args.policy if args.policy is not None else _graduated_da(scenario.priorities)
     hub, spans_from = _single_run_hub(args)
     rows = run_chaos(
         scenario,

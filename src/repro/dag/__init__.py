@@ -8,9 +8,10 @@ physical plans and ML pipelines:
   :class:`~repro.engine.job.StageSpec` with dependency edges),
   :class:`StageDAG` (validated acyclicity, deterministic topological
   iteration) and :class:`DagJob`.
-* :mod:`repro.dag.analytics` — PERT-style critical-path/slack analysis,
-  HEFT-style upward ranks, lower-bound makespans, and slack-biased drop
-  ratios that shift task dropping off the critical path.
+* :mod:`repro.dag.analytics` — PERT-style critical-path analysis: one
+  :class:`CriticalPathAnalysis` holds each stage's slack and HEFT-style
+  upward rank and the lower-bound makespan; slack-biased drop ratios shift
+  task dropping off the critical path.
 * :mod:`repro.dag.schedulers` — pluggable stage schedulers (``fifo``,
   ``critical_path_first``, ``shortest_remaining_work``, ``widest_first``)
   choosing which ready stage gets free slots.
@@ -27,7 +28,6 @@ from repro.dag.analytics import (
     analyze_critical_path,
     slack_biased_drop_ratios,
     stage_duration,
-    upward_ranks,
 )
 from repro.dag.execution import DagExecution, StageRun
 from repro.dag.graph import DagJob, DagStage, StageDAG
@@ -47,7 +47,6 @@ __all__ = [
     "analyze_critical_path",
     "slack_biased_drop_ratios",
     "stage_duration",
-    "upward_ranks",
     "DagExecution",
     "StageRun",
     "DagJob",

@@ -8,19 +8,22 @@ Classic PERT-style analysis over a :class:`~repro.dag.graph.StageDAG`:
 * forward pass → earliest start/finish per stage, whose maximum is the
   **critical-path length**: no stage scheduler can finish the DAG faster;
 * backward pass → latest finish and per-stage **slack** (how long a stage may
-  be delayed without stretching the critical path);
+  be delayed without stretching the critical path), and each stage's
+  HEFT-style **upward rank** (its longest remaining path to a sink);
 * the **lower-bound makespan** combines the critical path with the total-work
   bound ``Σ work / C`` — whichever binds.
 
-The slack signal has two consumers: the ``critical_path_first`` stage
-scheduler (prioritise zero-slack stages when slots are scarce) and
+All of it comes from one forward and one reverse walk of the topological
+order, into one :class:`CriticalPathAnalysis`.  The ranks feed the
+``critical_path_first`` stage scheduler, which gives free slots to the ready
+stage with the longest remaining path.  The slack feeds
 :func:`slack_biased_drop_ratios`, which shifts a class's task dropping toward
 off-critical-path stages so approximation costs accuracy, not latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dag.graph import DagStage, StageDAG
@@ -41,10 +44,8 @@ def stage_duration(
     """
     if slots <= 0:
         raise ValueError("slots must be positive")
-    maps = stage.map_task_times if map_durations is None else list(map_durations)
-    reduces = (
-        stage.reduce_task_times if reduce_durations is None else list(reduce_durations)
-    )
+    maps = stage.map_task_times if map_durations is None else map_durations
+    reduces = stage.reduce_task_times if reduce_durations is None else reduce_durations
     total = wave_time(maps, slots)
     if reduces:
         if stage.shuffle_time > 0:
@@ -65,6 +66,11 @@ class CriticalPathAnalysis:
     slack: Dict[int, float]
     critical_path: Tuple[int, ...]
     total_work: float
+    #: HEFT-style upward rank per stage: the longest remaining path from the
+    #: stage to a sink, ``duration[s] + max(rank[child])``.  The
+    #: ``critical_path_first`` scheduler gives free slots to the ready stage
+    #: with the highest rank.
+    ranks: Dict[int, float]
 
     @property
     def critical_path_length(self) -> float:
@@ -85,19 +91,6 @@ class CriticalPathAnalysis:
         return self.slack[index] <= tolerance
 
 
-def _resolve_durations(
-    dag: StageDAG, slots: int, overrides: Optional[Mapping[int, float]]
-) -> Dict[int, float]:
-    """Per-stage durations on ``slots`` slots, honouring explicit overrides."""
-    durations: Dict[int, float] = {}
-    for stage in dag:
-        if overrides is not None and stage.index in overrides:
-            durations[stage.index] = float(overrides[stage.index])
-        else:
-            durations[stage.index] = stage_duration(stage, slots)
-    return durations
-
-
 def analyze_critical_path(
     dag: StageDAG,
     slots: int,
@@ -107,29 +100,36 @@ def analyze_critical_path(
 
     ``stage_durations`` overrides the per-stage wave durations (e.g. to
     analyse the DAG *after* task dropping); by default each stage's full task
-    list is used.
+    list is used.  The forward pass resolves each stage's duration and its
+    earliest start and finish; the reverse pass its latest finish and its
+    upward rank.
     """
-    durations = _resolve_durations(dag, slots, stage_durations)
-
+    order = dag.topological_order()
+    durations: Dict[int, float] = {}
     earliest_start: Dict[int, float] = {}
     earliest_finish: Dict[int, float] = {}
-    for index in dag.topological_order():
-        start = max(
-            (earliest_finish[p] for p in dag.parents(index)), default=0.0
-        )
+    for index in order:
+        stage = dag.stage(index)
+        if stage_durations is not None and index in stage_durations:
+            duration = float(stage_durations[index])
+        else:
+            duration = stage_duration(stage, slots)
+        durations[index] = duration
+        start = max((earliest_finish[p] for p in stage.parents), default=0.0)
         earliest_start[index] = start
-        earliest_finish[index] = start + durations[index]
+        earliest_finish[index] = start + duration
 
     horizon = max(earliest_finish.values())
     latest_finish: Dict[int, float] = {}
-    for index in reversed(dag.topological_order()):
+    ranks: Dict[int, float] = {}
+    for index in reversed(order):
         children = dag.children(index)
-        if not children:
-            latest_finish[index] = horizon
-        else:
-            latest_finish[index] = min(
-                latest_finish[c] - durations[c] for c in children
-            )
+        latest_finish[index] = min(
+            (latest_finish[c] - durations[c] for c in children), default=horizon
+        )
+        ranks[index] = durations[index] + max(
+            (ranks[c] for c in children), default=0.0
+        )
     slack = {
         index: latest_finish[index] - earliest_finish[index]
         for index in durations
@@ -153,6 +153,7 @@ def analyze_critical_path(
         slack=slack,
         critical_path=tuple(path),
         total_work=dag.total_work(),
+        ranks=ranks,
     )
 
 
@@ -182,23 +183,6 @@ def observed_critical_path(
         path.append(max(observed_parents, key=lambda p: (finish_times[p], p)))
     path.reverse()
     return tuple(path)
-
-
-def upward_ranks(
-    dag: StageDAG, slots: int, stage_durations: Optional[Mapping[int, float]] = None
-) -> Dict[int, float]:
-    """HEFT-style upward rank: longest remaining path from each stage to a sink.
-
-    ``rank[s] = duration[s] + max(rank[child])`` — the quantity the
-    ``critical_path_first`` scheduler maximises when picking which ready stage
-    receives free slots.
-    """
-    analysis_durations = _resolve_durations(dag, slots, stage_durations)
-    ranks: Dict[int, float] = {}
-    for index in reversed(dag.topological_order()):
-        best_child = max((ranks[c] for c in dag.children(index)), default=0.0)
-        ranks[index] = analysis_durations[index] + best_child
-    return ranks
 
 
 def slack_biased_drop_ratios(

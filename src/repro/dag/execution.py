@@ -49,13 +49,16 @@ from repro.dag.analytics import (
     CriticalPathAnalysis,
     analyze_critical_path,
     stage_duration,
-    upward_ranks,
 )
 from repro.dag.graph import DagJob, DagStage
 from repro.dag.schedulers import StageScheduler, make_stage_scheduler
 from repro.engine.cluster import Cluster
-from repro.engine.execution import Execution, _ActiveTask, _dispatch_seq
-from repro.engine.job import effective_task_count
+from repro.engine.execution import (
+    Execution,
+    _ActiveTask,
+    _dispatch_seq,
+    kept_task_times,
+)
 from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
 from repro.simulation.des import Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
@@ -187,8 +190,8 @@ class DagExecution(Execution):
         fixed once a stage is ready orders the frontier itself; any other is
         consulted once per free slot (see :mod:`repro.dag.schedulers`).
     map_drop_ratio / reduce_drop_ratio:
-        Uniform per-stage drop ratios (droppable stages only), mirroring
-        :func:`~repro.engine.execution.build_phases`.
+        Uniform per-stage drop ratios (droppable stages only), applied by
+        :func:`~repro.engine.execution.kept_task_times` as for a MapReduce job.
     kept_map_indices / kept_reduce_indices:
         Explicit kept-task indices from a dropper plan; take precedence over
         any ratio.
@@ -252,30 +255,26 @@ class DagExecution(Execution):
         dag = job.dag
         slots = cluster.slots
         kept_durations: Dict[int, float] = {}
-        self._runs: Dict[int, StageRun] = {}
+        runs: Dict[int, StageRun] = {}
         for stage in dag:
-            maps = self._kept(
+            maps = kept_task_times(
                 stage.map_task_times, stage, kept_map_indices, map_drop_ratio
             )
-            reduces = self._kept(
+            reduces = kept_task_times(
                 stage.reduce_task_times, stage, kept_reduce_indices, reduce_drop_ratio
             )
-            self._runs[stage.index] = StageRun(stage, maps, reduces, len(self._runs))
-            kept_durations[stage.index] = stage_duration(
-                stage, slots, map_durations=maps, reduce_durations=reduces
-            )
-        runs = self._runs
-        for run in runs.values():
-            run.children = [runs[index] for index in dag.children(run.index)]
-        #: The source stages' runs, in index order.
-        self._sources = [runs[index] for index in dag.sources()]
+            runs[stage.index] = StageRun(stage, maps, reduces, len(runs))
+            kept_durations[stage.index] = stage_duration(stage, slots, maps, reduces)
+        self._runs = runs
         self.analysis: CriticalPathAnalysis = analyze_critical_path(
             dag, slots, stage_durations=kept_durations
         )
-        for index, rank in upward_ranks(
-            dag, slots, stage_durations=kept_durations
-        ).items():
-            runs[index].rank = rank
+        ranks = self.analysis.ranks
+        for run in runs.values():
+            run.children = [runs[index] for index in dag.children(run.index)]
+            run.rank = ranks[run.index]
+        #: The source stages' runs, in index order.
+        self._sources = [runs[index] for index in dag.sources()]
 
         #: The ready, not-done stages, sorted by ``_frontier_key``: the only
         #: stages a free slot can serve.  A stage enters when activated and
@@ -285,20 +284,6 @@ class DagExecution(Execution):
         self._frontier: List[StageRun] = []
         self._ready_counter = 0
         self._remaining_stages = len(runs)
-
-    @staticmethod
-    def _kept(
-        durations: Sequence[float],
-        stage: DagStage,
-        kept_indices: Optional[Mapping[int, Sequence[int]]],
-        ratio: float,
-    ) -> List[float]:
-        if kept_indices is not None and stage.index in kept_indices:
-            return [durations[i] for i in kept_indices[stage.index]]
-        if not stage.droppable:
-            return list(durations)
-        keep = effective_task_count(len(durations), ratio)
-        return list(durations[:keep])
 
     # --------------------------------------------------------------- queries
     @property

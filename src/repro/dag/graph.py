@@ -18,10 +18,11 @@ topological iteration; a linear chain is just the special case where stage
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from repro.engine.execution import kept_task_times
 from repro.engine.job import StageSpec
 from repro.engine.profiles import JobClassProfile
 
@@ -217,19 +218,20 @@ class DagJob:
         sum of stage times.
         """
         from repro.dag.analytics import analyze_critical_path, stage_duration
-        from repro.engine.job import effective_task_count
 
         if slots <= 0:
             raise ValueError("slots must be positive")
         durations = None
         if drop_ratio > 0.0:
-            durations = {}
-            for stage in self.dag:
-                kept = effective_task_count(
-                    stage.num_map_tasks, drop_ratio if stage.droppable else 0.0
+            durations = {
+                stage.index: stage_duration(
+                    stage,
+                    slots,
+                    map_durations=kept_task_times(
+                        stage.map_task_times, stage, None, drop_ratio
+                    ),
                 )
-                durations[stage.index] = stage_duration(
-                    stage, slots, map_durations=stage.map_task_times[:kept]
-                )
+                for stage in self.dag
+            }
         analysis = analyze_critical_path(self.dag, slots, stage_durations=durations)
         return self.setup_time(drop_ratio) + analysis.lower_bound_makespan

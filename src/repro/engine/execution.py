@@ -64,10 +64,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.engine.cluster import Cluster
-from repro.engine.job import Job, effective_task_count
+from repro.engine.job import Job, StageSpec, effective_task_count
 from repro.simulation.des import Event, Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -93,6 +93,25 @@ class ExecutionPhase:
         return float(sum(self.durations))
 
 
+def kept_task_times(
+    durations: Sequence[float],
+    stage: StageSpec,
+    kept_indices: Optional[Mapping[int, Sequence[int]]],
+    drop_ratio: float,
+) -> List[float]:
+    """The task durations of ``stage`` left to run after dropping.
+
+    Explicit kept-task indices (from the dropper) win.  Otherwise a droppable
+    stage keeps its first ``⌈n(1 − θ)⌉`` tasks and any other stage keeps all
+    of them.
+    """
+    if kept_indices is not None and stage.index in kept_indices:
+        return [durations[i] for i in kept_indices[stage.index]]
+    if not stage.droppable:
+        return list(durations)
+    return list(durations[: effective_task_count(len(durations), drop_ratio)])
+
+
 def build_phases(
     job: Job,
     map_drop_ratio: float = 0.0,
@@ -102,9 +121,7 @@ def build_phases(
 ) -> List[ExecutionPhase]:
     """Build the execution phases of ``job`` under the given drop ratios.
 
-    If explicit kept-task indices are provided (from the dropper), they take
-    precedence; otherwise the first ``⌈n(1 − θ)⌉`` tasks of each droppable
-    stage are kept.  Non-droppable stages always keep all their tasks.
+    Each stage keeps the tasks :func:`kept_task_times` names.
     """
     phases: List[ExecutionPhase] = [
         ExecutionPhase(
@@ -115,20 +132,12 @@ def build_phases(
         )
     ]
     for stage in job.stages:
-        stage_map_drop = map_drop_ratio if stage.droppable else 0.0
-        stage_reduce_drop = reduce_drop_ratio if stage.droppable else 0.0
-        if kept_map_indices is not None and stage.index in kept_map_indices:
-            map_durations = [stage.map_task_times[i] for i in kept_map_indices[stage.index]]
-        else:
-            keep = effective_task_count(stage.num_map_tasks, stage_map_drop)
-            map_durations = list(stage.map_task_times[:keep])
-        if kept_reduce_indices is not None and stage.index in kept_reduce_indices:
-            reduce_durations = [
-                stage.reduce_task_times[i] for i in kept_reduce_indices[stage.index]
-            ]
-        else:
-            keep = effective_task_count(stage.num_reduce_tasks, stage_reduce_drop)
-            reduce_durations = list(stage.reduce_task_times[:keep])
+        map_durations = kept_task_times(
+            stage.map_task_times, stage, kept_map_indices, map_drop_ratio
+        )
+        reduce_durations = kept_task_times(
+            stage.reduce_task_times, stage, kept_reduce_indices, reduce_drop_ratio
+        )
         if map_durations:
             phases.append(
                 ExecutionPhase("map", stage.index, map_durations, parallel=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapreplace
 from typing import List, Optional, Sequence
 
@@ -107,9 +107,9 @@ class Job:
         for stage in self.stages:
             kept_maps = effective_task_count(stage.num_map_tasks, drop_ratio if stage.droppable else 0.0)
             map_times = sorted(stage.map_task_times, reverse=True)[:kept_maps]
-            total += _wave_time(map_times, slots)
+            total += wave_time(map_times, slots)
             total += stage.shuffle_time
-            total += _wave_time(stage.reduce_task_times, slots)
+            total += wave_time(stage.reduce_task_times, slots)
         return total
 
 
@@ -139,10 +139,6 @@ def wave_time(durations: Sequence[float], slots: int) -> float:
         load, slot = finish[0]
         heapreplace(finish, (load + duration, slot))
     return max(finish)[0]
-
-
-#: Backwards-compatible private alias (the DAG analytics use the public name).
-_wave_time = wave_time
 
 
 class JobFactory:

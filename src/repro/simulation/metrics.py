@@ -389,9 +389,11 @@ class _StreamingClassState:
     )
 
     def __init__(self, quantiles: Optional[Sequence[float]] = None) -> None:
+        # Only response tails are read at extra quantiles
+        # (``tail_response_time``); queueing and execution keep the defaults.
         self.response = OnlineStats(quantiles)
-        self.queueing = OnlineStats(quantiles)
-        self.execution = OnlineStats(quantiles)
+        self.queueing = OnlineStats()
+        self.execution = OnlineStats()
         self.loss_sum = 0.0
         self.evictions = 0
         self.wasted_time = 0.0

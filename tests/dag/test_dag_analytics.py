@@ -8,7 +8,6 @@ from repro.dag.analytics import (
     analyze_critical_path,
     slack_biased_drop_ratios,
     stage_duration,
-    upward_ranks,
 )
 from repro.dag.graph import DagStage, StageDAG
 
@@ -93,7 +92,7 @@ def test_explicit_durations_override():
 # ------------------------------------------------------------ upward ranks
 def test_upward_ranks_decrease_along_edges():
     dag = unbalanced()
-    ranks = upward_ranks(dag, slots=4)
+    ranks = analyze_critical_path(dag, slots=4).ranks
     for s in dag:
         for parent in s.parents:
             assert ranks[parent] > ranks[s.index]

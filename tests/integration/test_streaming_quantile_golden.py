@@ -1,12 +1,13 @@
 """Golden floats of the streaming extra-quantile path (``--quantiles``).
 
 ``run_policies(..., quantiles=(0.9, 0.999))`` switches every run to a
-streaming collector whose P² estimators track p90 and p99.9 next to the
-default p50/p95/p99.  No digest in ``test_golden_runs.py`` covers those
-extra estimators, so this test pins the ``repr`` of every p90/p99.9
-estimate of the reference two-priority scenario (300 jobs, seed 2) under
-P, NP and DA(0/20): the response-time tails overall and per class, and the
-per-class queueing and execution tails.  Any change to the P² update, the
+streaming collector whose response-time P² estimators track p90 and p99.9
+next to the default p50/p95/p99 (queueing and execution times keep only the
+defaults: no report reads them at other quantiles).  No digest in
+``test_golden_runs.py`` covers those extra estimators, so this test pins the
+``repr`` of every p90/p99.9 estimate of the reference two-priority scenario
+(300 jobs, seed 2) under P, NP and DA(0/20): the response-time tails overall
+and per class.  Any change to the P² update, the
 order records reach the collector, or the simulation itself moves at least
 one float and fails here.  A change that moves them on purpose must say why
 in ``CHANGES.md`` and re-record :data:`GOLDEN`.
@@ -25,24 +26,12 @@ GOLDEN = {
     ("P", None, "response"): ("1007.4441952190864", "1286.7652605648354"),
     ("P", HIGH, "response"): ("46.294318116521396", "47.914125427227916"),
     ("P", LOW, "response"): ("1021.1132379810824", "1286.7746315265417"),
-    ("P", HIGH, "queueing"): ("6.272903731092431", "6.152270967032962"),
-    ("P", HIGH, "execution"): ("43.008145897386115", "43.81110020238708"),
-    ("P", LOW, "queueing"): ("956.5700786999178", "1214.2770593215052"),
-    ("P", LOW, "execution"): ("77.14584159110731", "91.7348468121608"),
     ("NP", None, "response"): ("787.1589073473631", "1007.8053932845781"),
     ("NP", HIGH, "response"): ("105.73391917465963", "105.7433585622691"),
     ("NP", LOW, "response"): ("796.8783453401164", "1007.8103791923114"),
-    ("NP", HIGH, "queueing"): ("63.115420313672416", "66.65945486452324"),
-    ("NP", HIGH, "execution"): ("43.008145897386115", "43.81110020238708"),
-    ("NP", LOW, "queueing"): ("736.1719796748491", "934.6248797887482"),
-    ("NP", LOW, "execution"): ("77.14584159110731", "91.7348468121608"),
     ("DA(0/20)", None, "response"): ("498.133282514596", "670.357211011099"),
     ("DA(0/20)", HIGH, "response"): ("85.32127679283361", "85.32127679283361"),
     ("DA(0/20)", LOW, "response"): ("513.3406360843378", "670.225087749754"),
-    ("DA(0/20)", HIGH, "queueing"): ("44.02110606775459", "43.79243759956349"),
-    ("DA(0/20)", HIGH, "execution"): ("43.008145897386115", "43.81110020238708"),
-    ("DA(0/20)", LOW, "queueing"): ("454.34097075381004", "617.4492006286727"),
-    ("DA(0/20)", LOW, "execution"): ("65.25699747464917", "80.52185328727967"),
 }
 
 
@@ -61,13 +50,17 @@ def comparison():
 
 def _estimates(comparison, policy, priority, metric):
     metrics = comparison.result(policy).metrics
-    if metric == "response":
-        return tuple(repr(metrics.tail_response_time(priority, q)) for q in (90.0, 99.9))
-    stats = getattr(metrics._class_state[priority], metric)
-    return tuple(repr(stats.quantile(q)) for q in (90.0, 99.9))
+    return tuple(repr(metrics.tail_response_time(priority, q)) for q in (90.0, 99.9))
 
 
 def test_every_extra_quantile_estimate_is_pinned(comparison):
     assert comparison.policy_names() == ["P", "NP", "DA(0/20)"]
     assert sorted(comparison.priorities) == sorted((HIGH, LOW))
     assert {key: _estimates(comparison, *key) for key in GOLDEN} == GOLDEN
+
+
+def test_only_response_times_track_the_extra_quantiles(comparison):
+    state = comparison.result("DA(0/20)").metrics._class_state[LOW]
+    assert state.response.tracked_quantiles == (0.5, 0.9, 0.95, 0.99, 0.999)
+    assert state.queueing.tracked_quantiles == (0.5, 0.95, 0.99)
+    assert state.execution.tracked_quantiles == (0.5, 0.95, 0.99)
