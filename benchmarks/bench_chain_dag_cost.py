@@ -8,9 +8,9 @@ simulator three times: once through
 (stage *i* depends on stage *i - 1*) through
 :class:`~repro.dag.execution.DagExecution` under ``fifo``.  The first chain
 run has telemetry off, so each attempt runs on the execution's private heap
-and the kernel sees one event per job.  The second streams telemetry to a
-discarding sink, which keeps the attempt on the per-task path (one kernel
-event per task).  Construction counts, so the DAG sides pay their per-job
+and the kernel sees one event per job.  The second traces to a discarding
+sink, which keeps the attempt on the per-task path (one kernel event per
+task).  Construction counts, so the DAG sides pay their per-job
 critical-path set-up.  The script exits non-zero unless all three finish
 every job at the same instant, and prints the best-of-N host seconds of each
 side and their ratios to ``JobExecution``::
@@ -64,7 +64,7 @@ def _chain(sim, cluster, job, ratio, plan, done, telemetry=NULL_HUB):
 
 
 def _per_task_chain(sim, cluster, job, ratio, plan, done):
-    hub = TelemetryHub()
+    hub = TelemetryHub(tracing=True)
     hub.add_sink(CallbackSink(lambda event: None))
     return _chain(sim, cluster, job, ratio, plan, done, telemetry=hub)
 

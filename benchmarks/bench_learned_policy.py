@@ -11,9 +11,9 @@ Two sections, recorded to ``benchmarks/results/BENCH_learned_policy.json``:
    process, and **fails (exit 1) when this tree falls below 95% of that
    tree's throughput** on either run, by the median of the per-pair ratios
    (``gate_refs.py``).  It compares whole trees, not the two decision sites
-   in isolation.  The DAG run streams telemetry to a discarding sink, so
-   both trees run their attempts task by task, through the scheduling
-   decision; each child must report the jobs it completed.
+   in isolation.  The DAG run traces to a discarding sink, so both trees
+   run their attempts task by task, through the scheduling decision; each
+   child must report the jobs it completed.
 
 2. **Learned policies vs naive heuristics under common random numbers.**
    Trains the contextual bandits in their decision envs, then evaluates the
@@ -80,7 +80,7 @@ def _hook_side(num_dag_jobs: int, num_fleet_jobs: int, seed: int) -> Dict[str, D
     from repro.telemetry import CallbackSink, TelemetryHub
     from repro.workloads.scenarios import dag_layered_scenario, fleet_two_priority_scenario
 
-    hub = TelemetryHub()
+    hub = TelemetryHub(tracing=True)
     hub.add_sink(CallbackSink(lambda event: None))
     dag = dag_layered_scenario(num_jobs=num_dag_jobs)
     fleet = fleet_two_priority_scenario(num_clusters=4, num_jobs_per_cluster=num_fleet_jobs)

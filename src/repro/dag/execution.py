@@ -13,18 +13,20 @@ Like its linear counterpart, the execution inherits the attempt lifecycle
 of :class:`~repro.engine.execution.Execution` — DVFS rescaling, eviction and
 fault recovery — so the DiAS controller machinery (sprinter, energy meter,
 preemptive baseline) drives DAG jobs unchanged.  On the per-task path every
-task starts in the base's ``_start_task`` and ends in the base's per-slot
-callback, with or without a fault injector: a task that did not fail goes
-to :meth:`DagExecution._on_task_succeeded` (finish its stage, activate the
-children it frees), then to ``_release_slot`` (free the slot and refill).
+stage task starts in the base's ``_start_task``, and every task, the job's
+setup included, ends in the base's per-slot callback, with or without a
+fault injector: a task that did not fail goes to
+:meth:`DagExecution._on_task_succeeded`.  The setup activates the source
+stages there; a stage task finishes its stage, activates the children it
+frees, then goes to ``_release_slot`` (free the slot and refill).
 
-**Private runs.**  An unobserved attempt — no fault injector, a disabled
-telemetry hub and no decision hook — runs privately (see
-:mod:`repro.engine.execution`): :meth:`DagExecution.start` runs it to the end
-at once on a private ``(time, seq)`` heap of task ends.  The private run is
-one loop of its own: it does not call the per-task path's
-``_on_task_succeeded``, ``_activate_stage`` or ``_fill_slots``, but repeats
-what they do, inline and without telemetry.  What keeps the two paths equal is that the loop makes
+**Private runs.**  An unobserved attempt — no fault injector, no tracing
+and no decision hook — runs privately (see :mod:`repro.engine.execution`):
+:meth:`DagExecution.start` runs it to the end at once on a private
+``(time, seq)`` heap of task ends.  The private run is one loop of its own:
+it does not call the per-task path's ``_on_task_succeeded``,
+``_activate_stage`` or ``_fill_slots``, but repeats what they do, inline and
+without telemetry.  What keeps the two paths equal is that the loop makes
 the same state changes in the same order: the same float expressions for
 task ends and undispatched work, the same ``(time, dispatch seq)`` tie
 order, the same ready order (a cascade of stages emptied by dropping runs
@@ -32,9 +34,7 @@ depth first, one finished parent's children in index order), and the same
 last-in, first-out use of the free slots.
 ``tests/properties/test_private_run_equivalence.py`` checks this for every
 built-in scheduler: completion times, the state after a materialising speed
-change, and every stage's state at the end.  Any enabled hub keeps a DAG
-attempt per task, because ``stage_scheduled`` is emitted at each stage
-activation and would come out of time order from inside ``start``.
+change, and every stage's state at the end.
 """
 
 from __future__ import annotations
@@ -53,12 +53,7 @@ from repro.dag.analytics import (
 from repro.dag.graph import DagJob, DagStage
 from repro.dag.schedulers import StageScheduler, make_stage_scheduler
 from repro.engine.cluster import Cluster
-from repro.engine.execution import (
-    Execution,
-    _ActiveTask,
-    _dispatch_seq,
-    kept_task_times,
-)
+from repro.engine.execution import Execution, _ActiveTask, kept_task_times
 from repro.simulation.decisions import STAGE, DecisionHook, DecisionPoint
 from repro.simulation.des import Simulator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
@@ -318,19 +313,9 @@ class DagExecution(Execution):
         return self._runs[index]
 
     # ------------------------------------------------------------- stages
-    def _begin(self) -> None:
-        if (
-            self._faults is not None
-            or self._decision_hook is not None
-            or self.telemetry.enabled
-        ):
-            self._enter()
-            return
-        # Unobserved: until a speed change, eviction or the end, the attempt
-        # is deterministic list scheduling, so run it to the end now and
-        # give the kernel one event, at the end.
-        _in_flight, end = self._run_private(math.inf, True)
-        self._end_privately_at(end)
+    def _observed(self) -> bool:
+        # The hook is consulted at each pick, so it sees every one.
+        return self._decision_hook is not None or super()._observed()
 
     def _enter(self) -> None:
         """Start the setup task, or the source stages when there is none."""
@@ -341,18 +326,13 @@ class DagExecution(Execution):
             self._active[_SETUP_SLOT] = _ActiveTask(
                 _SETUP_SLOT,
                 self.sim.schedule(
-                    self._setup_time / self._speed, self._on_setup_done, priority=1
+                    self._setup_time / self._speed,
+                    self._task_callback(_SETUP_SLOT),
+                    priority=1,
                 ),
                 self._speed,
                 self.sim.now,
             )
-
-    def _on_setup_done(self, _sim: Simulator) -> None:
-        if not self.running:
-            return
-        self._active.pop(_SETUP_SLOT, None)
-        self._close_span(_SETUP_SLOT)
-        self._activate_sources()
 
     def _activate_sources(self) -> None:
         for run in self._sources:
@@ -377,7 +357,6 @@ class DagExecution(Execution):
                     parents=",".join(str(p) for p in current.stage.parents),
                     pred=self.analysis.durations[current.index],
                 )
-            if self.telemetry.enabled:
                 self.telemetry.emit(
                     "stage_scheduled",
                     self.sim.now,
@@ -436,10 +415,15 @@ class DagExecution(Execution):
 
     # --------------------------------------------------------- completion
     def _on_task_succeeded(self, active: _ActiveTask) -> None:
-        """A task of a stage ended: finish stages, then free and refill."""
+        """The setup ended: activate the sources.  A task of a stage ended:
+        finish stages, then free and refill."""
+        run = active.stage_run
+        if run is None:
+            self._close_span(_SETUP_SLOT)
+            self._activate_sources()
+            return
         if active.span_id:
             self._emit_task_span(active)
-        run = active.stage_run
         if run.task_finished():
             self._frontier.remove(run)
             self._close_span(run.position)
@@ -586,18 +570,14 @@ class DagExecution(Execution):
         self._remaining_stages -= finished
         return heap, last
 
-    def _materialise(self, inclusive: bool) -> None:
+    def _private_end(self) -> Optional[float]:
+        return self._run_private(math.inf, True)[1]
+
+    def _replay(self, until: float, inclusive: bool) -> List[tuple]:
         for run in self._runs.values():
             run.reset()
         self._frontier = []
         self._ready_counter = 0
         self._remaining_stages = len(self._runs)
         self._free_slots = list(range(self.cluster.slots))
-        sim = self.sim
-        in_flight, _last = self._run_private(sim.now, inclusive)
-        for time, _seq, slot, run in sorted(in_flight, key=_dispatch_seq):
-            callback = self._on_setup_done if run is None else self._task_callback(slot)
-            self._active[slot] = _ActiveTask(
-                slot, sim.schedule_at(time, callback, priority=1), self._speed,
-                stage_run=run,
-            )
+        return self._run_private(until, inclusive)[0]

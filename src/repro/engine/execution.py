@@ -50,13 +50,15 @@ runs per task.  Both executions compute their ends with the same float
 operations, in the same order, as their per-task paths, so a private attempt
 ends at the same instant to the bit; only kernel event counts fall.
 
-An attempt is *observed*, and stays on the per-task path, when it runs under
-a fault injector (faults are drawn per task) or when the hub traces (task
-spans are emitted per task).  A sampling hub does not observe a MapReduce
-attempt, because an untraced ``JobExecution`` publishes nothing per task.  A
-DAG attempt is stricter: any enabled hub or a decision hook observes it,
-because it emits ``stage_scheduled`` at each stage activation and consults
-the hook at each pick.
+One rule, in :meth:`Execution.start`, decides which path an attempt takes.
+It is *observed*, and runs per task, when it runs under a fault injector
+(faults are drawn per task) or when the hub traces (spans and
+``stage_scheduled`` are emitted per task and per stage); a DAG attempt is
+also observed by a decision hook, which is consulted at each pick.  A
+sampling hub observes nothing, because an untraced attempt publishes nothing
+per task.  A subclass says how its own schedule runs: :meth:`_enter` starts
+the per-task path, :meth:`_private_end` computes the end of a private run and
+:meth:`_replay` replays one up to a speed change; the base does the rest.
 """
 
 from __future__ import annotations
@@ -202,15 +204,15 @@ class Execution:
     :meth:`_make_task_callback` the one task end; a fault injector changes
     what they draw and where a failed task goes, not which code runs.  A
     subclass says which task a free slot runs next, by defining
-    :meth:`_begin` (enter the first phase or stage), :meth:`_refill` (fill
+    :meth:`_enter` (enter the first phase or stage), :meth:`_refill` (fill
     the free slots), :meth:`_release_slot` (a slot is done with its task),
-    :meth:`_on_task_succeeded` (the end of a task that did not fail, under
-    the base callback; :class:`JobExecution` replaces the callback instead),
-    :meth:`_requeue` (a lost task goes back to its queue) and
-    :meth:`_materialise`; :meth:`_on_straggler` may add to what a straggling
-    draw does.  It traces by opening and closing its span groups through
-    :meth:`_open_span` and :meth:`_close_span`; the base emits every task
-    span and closes what is open at eviction.
+    :meth:`_on_task_succeeded` (the end of a task that did not fail),
+    :meth:`_requeue` (a lost task goes back to its queue), and
+    :meth:`_private_end` and :meth:`_replay` (its private run);
+    :meth:`_on_straggler` may add to what a straggling draw does.  It traces
+    by opening and closing its span groups through :meth:`_open_span` and
+    :meth:`_close_span`; the base emits every task span and closes what is
+    open at eviction.
     """
 
     def __init__(
@@ -298,7 +300,12 @@ class Execution:
         self._speed = float(speed) if speed is not None else self.cluster.speed
         self._speed_since = self.sim.now
         self._free_slots = self.cluster.free_slot_ids()
-        self._begin()
+        if self._observed():
+            self._enter()
+        else:
+            # Until a speed change, eviction or the end, the attempt is list
+            # scheduling: compute its end now and give the kernel one event.
+            self._end_privately_at(self._private_end())
 
     def set_speed(self, speed: float) -> None:
         """Apply a cluster-wide speed change (DVFS) to all in-flight tasks."""
@@ -388,8 +395,16 @@ class Execution:
         self._refill()
 
     # ------------------------------------------------------------------ hooks
-    def _begin(self) -> None:
-        """Enter the first phase or stage of a just-started attempt."""
+    def _observed(self) -> bool:
+        """Whether the attempt runs per task (see the module docstring)."""
+        return self._faults is not None or self.telemetry.tracing
+
+    def _enter(self) -> None:
+        """Enter the first phase or stage of a just-started, observed attempt."""
+        raise NotImplementedError
+
+    def _private_end(self) -> Optional[float]:
+        """The end of an undisturbed attempt, ``None`` if it runs no task."""
         raise NotImplementedError
 
     def _refill(self) -> None:
@@ -417,17 +432,34 @@ class Execution:
         failed (the failed attempt here; see ``telemetry/schema.py``)."""
         return attempt
 
-    def _materialise(self, inclusive: bool) -> None:
-        """Hand a privately run attempt to the kernel, one event per task.
+    def _replay(self, until: float, inclusive: bool) -> List[tuple]:
+        """Replay a privately run attempt from its start up to ``until``.
 
-        Replay the attempt from its start up to now: task ends before now
-        take effect, and so do those at now itself when ``inclusive``.  The
-        tasks still in flight become ``_ActiveTask`` entries in dispatch
-        order, and the rest of the attempt runs per task.
+        Task ends before ``until`` take effect, and so do those at ``until``
+        itself when ``inclusive``.  Returns the ``(end, dispatch seq, slot,
+        stage run)`` entries of the tasks still in flight.
         """
         raise NotImplementedError
 
     # ------------------------------------------------------------ private run
+    def _materialise(self, inclusive: bool) -> None:
+        """Hand a privately run attempt to the kernel, one event per task.
+
+        The attempt is replayed up to now; its tasks still in flight become
+        ``_ActiveTask`` entries in dispatch order, and the rest of the
+        attempt runs per task.
+        """
+        sim = self.sim
+        speed = self._speed
+        in_flight = self._replay(sim.now, inclusive)
+        for end, _seq, slot, stage_run in sorted(in_flight, key=_dispatch_seq):
+            self._active[slot] = _ActiveTask(
+                slot,
+                sim.schedule_at(end, self._task_callback(slot), priority=1),
+                speed,
+                stage_run=stage_run,
+            )
+
     def _end_privately_at(self, end: Optional[float]) -> None:
         """Give the kernel the one event of a privately run attempt.
 
@@ -537,8 +569,7 @@ class Execution:
         active_tasks = self._active
 
         def _callback(_sim: Simulator) -> None:
-            if not self.running:
-                return
+            # An evicted or finished attempt has no task in flight.
             active = active_tasks.pop(slot, None)
             if active is None:
                 return
@@ -713,25 +744,20 @@ class JobExecution(Execution):
         return None
 
     # ------------------------------------------------------------- phases
-    def _begin(self) -> None:
-        if self._faults is not None or self.telemetry.tracing:
-            self._advance_phase()
-            return
-        # Unobserved: until a speed change, eviction or the end, the attempt
-        # is list scheduling, so compute its end now and give the kernel one
-        # event, at the end.
-        self._phase_index = len(self.phases)
-        self._end_privately_at(self._private_end())
+    def _enter(self) -> None:
+        self._advance_phase()
 
     def _private_end(self) -> Optional[float]:
         """The end of an undisturbed attempt, ``None`` if it runs no task.
 
-        The same float operations, in the same order, as the per-task path:
-        a parallel phase hands each task, in order, to the slot that frees
-        first and ends when its last slot frees; a serial phase sums.  When
-        a phase fits on the slots at once, its end is the start plus its
-        longest task, because a float sum never decreases in an addend.
+        A private attempt has no current phase.  Its end takes the same float
+        operations, in the same order, as the per-task path: a parallel phase
+        hands each task, in order, to the slot that frees first and ends when
+        its last slot frees; a serial phase sums.  When a phase fits on the
+        slots at once, its end is the start plus its longest task, because a
+        float sum never decreases in an addend.
         """
+        self._phase_index = len(self.phases)
         speed = self._speed
         slots = self.cluster.slots
         end = self.start_time
@@ -753,9 +779,7 @@ class JobExecution(Execution):
                 end = max(free)
         return end if ran else None
 
-    def _materialise(self, inclusive: bool) -> None:
-        sim = self.sim
-        until = sim.now
+    def _replay(self, until: float, inclusive: bool) -> List[tuple]:
         speed = self._speed
         slots = self.cluster.slots
         clock = self.start_time
@@ -765,30 +789,24 @@ class JobExecution(Execution):
             parallel = phase.parallel
             pending = phase.durations[::-1]
             free = list(range(slots))
-            # (end, dispatch seq, slot): the seq breaks ties as the kernel's
-            # sequence numbers do among this attempt's own task events.
+            # (end, dispatch seq, slot, None): the seq breaks ties as the
+            # kernel's sequence numbers do among this attempt's own task events.
             heap: List[tuple] = []
             for seq in range(min(slots if parallel else 1, len(pending))):
-                heappush(heap, (clock + pending.pop() / speed, seq, free.pop()))
+                heappush(heap, (clock + pending.pop() / speed, seq, free.pop(), None))
             seq = len(heap)
             while heap:
-                end, _seq, slot = heap[0]
+                end, _seq, slot, _run = heap[0]
                 if end > until or (end == until and not inclusive):
                     self._phase_index = index
                     self._pending = pending
                     self._parallel = parallel
                     self._free_slots = free
-                    for end, _seq, slot in sorted(heap, key=_dispatch_seq):
-                        self._active[slot] = _ActiveTask(
-                            slot,
-                            sim.schedule_at(end, self._task_callback(slot), priority=1),
-                            speed,
-                        )
-                    return
+                    return heap
                 heappop(heap)
                 clock = end
                 if pending and (parallel or not heap):
-                    heappush(heap, (end + pending.pop() / speed, seq, slot))
+                    heappush(heap, (end + pending.pop() / speed, seq, slot, None))
                     seq += 1
                 else:
                     free.append(slot)
@@ -814,46 +832,22 @@ class JobExecution(Execution):
         for _ in range(min(len(free) if phase.parallel else 1, len(pending))):
             self._start_task(free.pop(), None, pending.pop())
 
-    def _make_task_callback(self, slot: int) -> Callable[[Simulator], None]:
-        active_tasks = self._active
-        retries = self._retries
-
-        def _callback(_sim: Simulator) -> None:
-            # The one task end.  A failure goes to the fault machinery; a
-            # success settles its speculation check or copy, if it has one,
-            # and the freed slot takes the next pending task at once when
-            # the phase can use it, instead of round-tripping through
-            # ``_free_slots`` (the rule ``_release_slot`` applies).
-            active = active_tasks.pop(slot, None)
-            if active is None:  # finished or evicted
-                return
-            if active.will_fail:
-                self._on_task_failed(active)
-                return
-            if (
-                active.spec_event is not None
-                or active.copy_of >= 0
-                or active.copy_slot >= 0
-            ):
-                self._settle_speculation(active)
-            if active.span_id:
-                self._emit_task_span(active)
-            pending = self._pending
-            if pending and (self._parallel or not (active_tasks or retries)):
-                self._start_task(slot, None, pending.pop())
-                return
-            self._free_slots.append(slot)
-            if not pending and not active_tasks and not retries:
-                self._advance_phase()
-
-        return _callback
+    def _on_task_succeeded(self, active: _ActiveTask) -> None:
+        """Settle the task's speculation check or copy, if it has one, emit
+        its span, and let the freed slot take the next pending task."""
+        if (
+            active.spec_event is not None
+            or active.copy_of >= 0
+            or active.copy_slot >= 0
+        ):
+            self._settle_speculation(active)
+        if active.span_id:
+            self._emit_task_span(active)
+        self._release_slot(active.slot)
 
     def _release_slot(self, slot: int) -> None:
-        """Continue the wave on ``slot``, freed by a failed task.
-
-        The rule of the task end: the slot takes the next pending task if
-        the phase can use it, else it joins the free pool.
-        """
+        """Continue the wave on ``slot``: it takes the next pending task if
+        the phase can use it, else it joins the free pool."""
         pending = self._pending
         if pending and (self._parallel or not (self._active or self._retries)):
             self._start_task(slot, None, pending.pop())

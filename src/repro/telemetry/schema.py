@@ -34,6 +34,13 @@ Migration notes
   and count in neither: ``processed_events``, ``scheduled_events`` and
   ``events_per_simsec`` fall by the number of ticks.  Every other event,
   samples included, is unchanged line for line.
+* **``stage_scheduled`` is emitted only while tracing.**  A DAG attempt
+  used to emit it at each stage activation under any enabled hub, which
+  kept sampled DAG attempts on the per-task path.  A hub that samples
+  without tracing now runs them privately, like MapReduce ones: its stream
+  loses the ``stage_scheduled`` lines, and its end-of-run ``kernel`` row
+  counts one event per attempt instead of one per task.  Every other line
+  is unchanged.  Traced streams keep the kind as before.
 """
 
 from __future__ import annotations

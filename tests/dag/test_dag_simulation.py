@@ -11,6 +11,7 @@ from repro.dag.graph import DagJob, DagStage, StageDAG
 from repro.dag.simulation import DagSimulation, run_dag_policy
 from repro.engine.cluster import Cluster, ClusterConfig
 from repro.engine.profiles import JobClassProfile
+from repro.telemetry import CallbackSink, TelemetryHub
 from repro.workloads.scenarios import HIGH, LOW, dag_layered_scenario
 
 
@@ -184,3 +185,44 @@ def test_plan_stages_rejects_bad_ratio():
     dropper = TaskDropper()
     with pytest.raises(ValueError, match="must be in"):
         dropper.plan_stages(diamond_job(0), {0: 1.0})
+
+
+# ---------------------------------------------------------------- telemetry
+def _sampled_layered_run(tracing: bool):
+    hub = TelemetryHub(sample_interval=2.0, tracing=tracing)
+    events = []
+    hub.add_sink(CallbackSink(events.append))
+    scenario = dag_layered_scenario(num_jobs=20)
+    simulation = DagSimulation(
+        SchedulingPolicy.non_preemptive_priority(),
+        jobs=scenario.generate_trace(seed=3),
+        scheduler="critical_path_first",
+        cluster=scenario.cluster,
+        seed=3,
+        telemetry=hub,
+    )
+    result = simulation.run()
+    summary = [
+        result.completed_jobs, result.evictions, result.duration,
+        result.total_energy_joules, result.dag_rows,
+        [(p, result.mean_response_time(p), result.tail_response_time(p))
+         for p in result.priorities()],
+    ]
+    samples = [
+        event for event in events
+        if event["kind"] == "sample" and event["src"] != "kernel"
+    ]
+    return simulation.sim.processed_events, summary, samples
+
+
+def test_a_sampling_hub_runs_dag_attempts_privately():
+    # Sampling publishes nothing per task, so each attempt gives the kernel
+    # one event, at its end; tracing keeps every attempt per task.
+    events, summary, samples = _sampled_layered_run(tracing=False)
+    traced_events, traced_summary, traced_samples = _sampled_layered_run(tracing=True)
+    assert summary[:2] == [20, 0]  # every job completed, none evicted
+    arrivals = attempt_ends = 20
+    assert events == arrivals + attempt_ends
+    assert traced_events > events
+    assert summary == traced_summary
+    assert samples and samples == traced_samples

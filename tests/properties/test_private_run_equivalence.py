@@ -1,23 +1,23 @@
 """A privately run attempt is indistinguishable from a per-task one.
 
-With no fault injector and nobody observing,
+With no fault injector, no tracing and no decision hook,
 :class:`~repro.dag.execution.DagExecution` and
 :class:`~repro.engine.execution.JobExecution` run an attempt to its end at
 ``start`` and give the kernel one event, at the end (see
 :mod:`repro.engine.execution`).  A speed change replays that run up to the
 current instant and hands the tasks still in flight to the kernel.  Each
 random case here runs the same attempt twice: privately and per task.  A DAG
-attempt runs privately under the null hub and per task under an enabled hub
-whose sink discards every event, for every built-in scheduler; a MapReduce
-attempt runs privately under a sampling hub and per task under a tracing
-one.  Speed changes and an eviction land at random instants, many of them
-exactly on task ends or phase boundaries, at priorities 0, 1 and 2, or
-between two calls of ``sim.run``.  Both runs must agree on the completion
-and sprinted times, on what ``evict`` returns, and, right after every speed
-change, on the tasks in flight and on what is still to run.  An undisturbed
-attempt must also leave every stage's pending tasks, in-flight count, done
-flag, ready order and undispatched work, and the free-slot list, as the
-per-task run leaves them.
+attempt runs privately under the null hub and per task under a tracing hub,
+for every built-in scheduler; a MapReduce attempt runs privately under a
+sampling hub and per task under a tracing one.  A sampling hub observes
+neither kind of attempt.  Speed changes and an eviction land at random
+instants, many of them exactly on task ends or phase boundaries, at
+priorities 0, 1 and 2, or between two calls of ``sim.run``.  Both runs must
+agree on the completion and sprinted times, on what ``evict`` returns, and,
+right after every speed change, on the tasks in flight and on what is still
+to run.  An undisturbed attempt must also leave every stage's pending tasks,
+in-flight count, done flag, ready order and undispatched work, and the
+free-slot list, as the per-task run leaves them.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from repro.telemetry import NULL_HUB, CallbackSink, TelemetryHub
 _NO_SETUP = replace(_PROFILE, setup_time_full=0.0, setup_time_min=0.0)
 
 
-def _discarding_hub() -> TelemetryHub:
-    hub = TelemetryHub()
+def _sampling_hub() -> TelemetryHub:
+    hub = TelemetryHub(sample_interval=1.0)
     hub.add_sink(CallbackSink(lambda event: None))
     return hub
 
@@ -188,7 +188,7 @@ def test_private_run_matches_the_per_task_path(case):
         timed_plan = dict(plan, actions=timed)
         args = (job, name, kept_maps, kept_reduces)
         private = _run(*args, NULL_HUB, timed_plan)
-        per_task = _run(*args, _discarding_hub(), timed_plan)
+        per_task = _run(*args, _tracing_hub([]), timed_plan)
         assert private == per_task, name
 
 
@@ -213,7 +213,7 @@ def test_private_run_leaves_every_stage_as_the_per_task_run_does(case):
     job, kept_maps, kept_reduces, _plan, _actions = case
     for name in STAGE_SCHEDULERS:
         args = (job, name, kept_maps, kept_reduces)
-        assert _end_state(*args, NULL_HUB) == _end_state(*args, _discarding_hub()), name
+        assert _end_state(*args, NULL_HUB) == _end_state(*args, _tracing_hub([])), name
 
 
 def test_only_unobserved_attempts_run_privately():
@@ -222,7 +222,8 @@ def test_only_unobserved_attempts_run_privately():
     outcomes = {}
     for label, hub, hook in (
         ("null hub", NULL_HUB, None),
-        ("enabled hub", _discarding_hub(), None),
+        ("sampling hub", _sampling_hub(), None),
+        ("tracing hub", _tracing_hub([]), None),
         ("decision hook", NULL_HUB, lambda point: 0),
     ):
         sim = Simulator()
@@ -234,19 +235,18 @@ def test_only_unobserved_attempts_run_privately():
         outcomes[label] = execution._end_event is not None
         sim.run()
         assert execution.completed, label
-    assert outcomes == {"null hub": True, "enabled hub": False, "decision hook": False}
+    assert outcomes == {
+        "null hub": True,
+        "sampling hub": True,
+        "tracing hub": False,
+        "decision hook": False,
+    }
 
 
 # --------------------------------------------------------------- MapReduce
 #: Task times: dyadic values tie often; 0.1 and 0.3 round.
 _TIMES = st.sampled_from([0.5, 1.0, 1.0, 1.5, 2.0, 0.75, 0.1, 0.3])
 _MR_CLUSTER = ClusterConfig(workers=2, cores_per_worker=2)  # C = 4 slots
-
-
-def _sampling_hub() -> TelemetryHub:
-    hub = TelemetryHub(sample_interval=1.0)
-    hub.add_sink(CallbackSink(lambda event: None))
-    return hub
 
 
 @st.composite

@@ -192,7 +192,7 @@ DIGESTS: Dict[str, str] = {
     "sprinting": "514a0696a9f93ec665860b827c4fae5edc60c53c5995c8009876aaa0d5ab618c",
     "crash-renewals": "bd4fdc3f84ebd113dc254a84c82abadd7b6fa4e73f3df3049904c4f7556fa244",
     "streaming-fleet": "429ffdc7ca516e9910e73542aa3aa537636bfe07897c0615fdbf967e1eeb4a19",
-    "dag-cpfirst": "9016671d7fd835dee9ee5cb516f50a6a7f0d470bc4db2b6f3322ce6a84769a59",
+    "dag-cpfirst": "4524bb85cb6a735fa7ed13ea7d4fa6f9ad55bfbd177b52f2c5d79ba34589161f",
     "run-until-in-a-gap": "d46d501de1aa09267780f62014adf4bba36ea2649385457b153cea54a8dd7a09",
     "resume-in-a-gap": "42f429762f691a4955dd4bb43c37f68b415fb8fecb1f8f877a873976a3faf750",
 }
